@@ -34,21 +34,6 @@ BENCH_GRAPH = dict(
 )
 
 
-def _pool_pct() -> int:
-    """Validated LCRAY_POOL_PCT (shipped default 75).  A malformed or
-    out-of-range value falls back to 75 with a stderr warning instead of
-    raising an uncaught ValueError inside a leg subprocess (ADVICE r4)."""
-    raw = os.environ.get("LCRAY_POOL_PCT", "75")
-    try:
-        v = int(raw)
-        if not 1 <= v <= 100:
-            raise ValueError(raw)
-        return v
-    except ValueError:
-        print(f"bench: invalid LCRAY_POOL_PCT={raw!r}, using 75", file=sys.stderr)
-        return 75
-
-
 def _quiet():
     from ray.data import DataContext
 
@@ -87,20 +72,16 @@ def bench_crawl(ncpu: int) -> dict:
         seen_shards=8,
         seen_mode=seen_mode,
         # pool = 3/4 of the CPUs (splits/gate/rank/sinks pipeline on the
-        # rest).  Shipped at 75 after the 2026-08-20 wave-width A/B
-        # (BASELINE.md): vs the old 50%, +30% URLs/s at 8 CPUs and +20% at
-        # 32, with depth-4 scaling efficiency still over the 0.8 bar
-        # (0.810 median).  LCRAY_POOL_PCT remains the A/B hook.
-        fetch_concurrency=max(2, ncpu * _pool_pct() // 100),
-        # A/B hook for the cache-footprint experiment: each worker's live
-        # OutBuilder set is ~batch_size × ~25 KB of extracted payload
-        fetch_batch_size=int(os.environ.get("LCRAY_FBS", "256")),
+        # rest).  Chosen by the 2026-08-20 wave-width A/B (BASELINE.md): vs
+        # the old 50%, +30% URLs/s at 8 CPUs and +20% at 32, with depth-4
+        # scaling efficiency still over the 0.8 bar (0.810 median).
+        fetch_concurrency=max(2, ncpu * 75 // 100),
+        fetch_batch_size=256,
         # bench bodies are heavy (~90 KB) → even mid-size rounds benefit from
         # the pool; only the genuinely tiny head/tail rounds stay local
         local_round_threshold=256,
         snapshot_every=4,
-        # A/B hook for the wave-packing experiment (BASELINE.md)
-        fetch_batches_per_worker=int(os.environ.get("LCRAY_BPW", "4")),
+        fetch_batches_per_worker=4,
     )
     job = CrawlJob(spec, seeds, paths["pages"], paths["images"], paths["robots"], job_dir)
     steal0, busy0 = _steal_cpu_s(), _busy_cpu_s()
@@ -156,7 +137,7 @@ def bench_routed(ncpu: int) -> dict:
         routes=synth.ROUTED_ROUTES,
         synthesize_pagination=True,
         seen_shards=8,
-        fetch_concurrency=max(2, ncpu * _pool_pct() // 100),
+        fetch_concurrency=max(2, ncpu * 75 // 100),
         fetch_batch_size=256,
         local_round_threshold=256,
         snapshot_every=4,
@@ -449,15 +430,9 @@ def _floors(depth: int) -> dict:
 
 def _below_floor(depth: int, ncpu: int, urls_per_sec: float) -> bool:
     """True when the leg is below its calm-window floor OR the floor for
-    (depth, width) is uncalibrated — 'can't certify at-grade' fails closed.
-
-    Floors are calibrated to the SHIPPED pool-75 config only; at any other
-    LCRAY_POOL_PCT (the A/B hook) every leg would be mislabeled
-    host_degraded, so an A/B run fails closed too (ADVICE r4) — A/B data is
-    tagged ``floors_uncalibrated`` by the scaling loop instead of silently
-    falling into the 'ALL host-degraded' summary bucket."""
+    (depth, width) is uncalibrated — 'can't certify at-grade' fails closed."""
     floor = _floors(depth).get(ncpu, 0.0)
-    return floor <= 0.0 or _pool_pct() != 75 or urls_per_sec < floor
+    return floor <= 0.0 or urls_per_sec < floor
 
 
 def _cap_worker(kind: str, dur: float, q) -> None:
@@ -617,11 +592,6 @@ def scaling(pairs: int = 3, until_quiet: int = 0, max_pairs: int = 12, depth: in
                     cap32.get("mem_32", 0.0), cap32_after.get("mem_32", 0.0),
                 ) < MEM32_CALM_FLOOR_MBS,
                 "depth": depth,
-                "pool_pct": _pool_pct(),
-                # floors are only calibrated for the shipped pool-75 config;
-                # at any other pool pct host_degraded fails closed and this
-                # tag says WHY (ADVICE r4)
-                "floors_uncalibrated": _pool_pct() != 75,
                 "host_degraded": (
                     _below_floor(depth, 8, r8["crawl_urls_per_sec"])
                     or _below_floor(depth, 32, r32["crawl_urls_per_sec"])

@@ -9,10 +9,9 @@ rides the object that owns the measured phase (one per CrawlJob driver;
 worker-side timing stays in the per-row ``fetch_ms`` column because actor
 clocks don't share state), plus a module-level default for ad-hoc use.
 
-The crawl round driver runs every LCRAY_PROFILE phase mark through a
-Benchmark, so ``CrawlJob.benchmarks()`` returns the whole-job phase
-decomposition (e.g. total fetch+split vs gate seconds across epochs) that
-BASELINE.md's scaling analysis previously assembled by hand from the marks.
+The crawl round driver adds every round phase mark to a Benchmark, so
+``CrawlJob.benchmarks()`` returns the whole-job phase decomposition (e.g.
+total fetch+split vs gate seconds across epochs).
 """
 
 from __future__ import annotations

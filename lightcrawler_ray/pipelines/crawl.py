@@ -25,13 +25,15 @@ Each round (epoch):
 
 Adaptive execution: a BFS crawl has a characteristic frontier profile — a few
 huge middle rounds flanked by tiny head/tail rounds (seed fan-out, redirect
-chains).  Distributed Dataset rounds carry a fixed scheduling cost
-(executions, shuffles, actor-pool spin-up), so rounds below
-``spec.local_round_threshold`` candidates run on the driver through the SAME
-operator code (CandidateFilter / fetcher / seen shards / dedup rules) with
-plain Arrow — identical semantics (the parity suite covers both paths), none
-of the fixed cost.  At 10^10-URL scale the big rounds are the only ones that
-matter; the threshold just stops the tail from paying cluster prices.
+chains).  Every round runs the same steps — the ``_filter_and_split`` filter,
+the seen shards' ``gate_parts`` — and round size only picks WHERE they run.
+A round of at most ``spec.local_round_threshold`` candidates is filtered
+in-process on the driver (no task hop); a larger one in remote filter tasks.
+A gate that leaves at most that many winners is ranked on the driver in
+Arrow and fetched by ``_local_tail``; a larger one goes through the block
+graph above, whose scheduling cost only pays off at size.  At 10^10-URL
+scale the big rounds are the only ones that matter; the threshold just stops
+the head and tail from paying cluster prices.
 
 Checkpoint per epoch: frontier, links lineage, images, docs, metrics, seen
 snapshot, then an atomic done-marker — resume restores the seen shards and
@@ -52,6 +54,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -107,10 +110,10 @@ class CrawlJob:
         self.seeds = seeds
         self.job_dir = job_dir
         # A4: named accumulating phase timers (PHPCrawlerBenchmark.class.php
-        # :16-145 semantics) — every distributed-round phase mark adds its
-        # inter-mark delta here, so benchmarks() yields the whole-job phase
-        # decomposition without parsing LCRAY_PROFILE output
+        # :16-145 semantics) — every round phase mark adds its inter-mark
+        # delta here, so benchmarks() yields the whole-job phase decomposition
         self.bench = Benchmark()
+        self._mark_t = 0.0
         os.makedirs(job_dir, exist_ok=True)
         self.seen = SeenSet(spec.seen_shards, spec.seen_capacity, spec.seen_mode)
         self.content_seen = SeenSet(spec.seen_shards, spec.seen_capacity, "exact")
@@ -121,7 +124,9 @@ class CrawlJob:
         # next-round filter tasks submitted against the in-flight round's
         # link refs (pure tasks — safe to speculate; the stateful gate is not)
         self._prefilter: dict | None = None
-        self.tail_collapses = 0  # dist rounds that gated down to the local tail
+        # rounds routed to remote filter tasks by their candidate count whose
+        # gate then left a driver-sized remainder
+        self.tail_collapses = 0
         # M9: until the first 200-content fetch, candidate filtering keeps
         # only redirect links (mode off => treat content as already found)
         self._content_found = not spec.redirects_till_content
@@ -152,7 +157,6 @@ class CrawlJob:
         else:
             self.robots = load_robots(robots_path)
         self.robots_ref = ray.put(self.robots)
-        self._local_filter = CandidateFilter(spec, self.robots_ref)
         # per-host politeness ledger (T7 upgraded: per-host, not global),
         # hash(host)-partitioned over a shard pool so no round's (host, seq)
         # rows ever gather on the driver; the driver-side HostClock is kept
@@ -165,8 +169,6 @@ class CrawlJob:
             robots_ttl_s=spec.robots_ttl_s,
         )
         self._lazy_robots_handles = tuple(self.sched.shards) if lazy else ()
-        if lazy:
-            self._local_filter.robots_lookup = self.sched.robots_for
         from ..state.simindex import SimIndex
 
         self.docsim = SimIndex()
@@ -325,10 +327,6 @@ class CrawlJob:
         self.bench.start("final_drain")
         self._drain_pending()
         self.bench.stop("final_drain")
-        if os.environ.get("LCRAY_PROFILE"):
-            import sys as _sys
-
-            print(f"    [job] phases: {self.bench.all()}", file=_sys.stderr, flush=True)
         return self.summary()
 
     def _resume_point(self) -> tuple[int, "rd.Dataset | pa.Table", int | None]:
@@ -369,14 +367,28 @@ class CrawlJob:
         return last + 1, cand, meta.get("links", None)
 
     # ------------------------------------------------------------------
-    def _round(self, candidates, epoch: int, n_hint: int | None):
-        """Dispatch a round: small candidate sets run on the driver (same
-        operators, no cluster fixed costs), large ones run distributed.
+    def _mark(self, phase: str) -> None:
+        """Add the seconds since the previous mark to ``phase``."""
+        now = time.perf_counter()
+        self.bench.add(phase, now - self._mark_t)
+        self._mark_t = now
 
-        ``candidates`` may be an Arrow table (seeds / local-round links), a
-        list of block ObjectRefs (the previous distributed round's link
-        tables, carried in the object store — no re-read), or a Dataset
-        (resume path)."""
+    def _round(self, candidates, epoch: int, n_hint: int | None):
+        """One round: candidate filter, seen gate, then rank, fetch, sinks.
+
+        Every round filters through ``_filter_and_split`` and gates through
+        the seen shards' ``gate_parts``; round size only picks where the
+        steps run.  A round of at most ``local_round_threshold`` candidates
+        is filtered in-process (unless the previous round already
+        speculated its filter tasks), a larger one in remote tasks.  A gate
+        that leaves at most that many winners is ranked on the driver, a
+        larger one goes through the block graph (``_round_graph``).
+
+        ``candidates`` may be an Arrow table (seeds / a driver-ranked
+        round's links), a list of block ObjectRefs (the previous block-graph
+        round's link tables, carried in the object store — no re-read), or
+        a Dataset (resume path)."""
+        spec = self.spec
         ed = self._epoch_dir(epoch)
         if os.path.isdir(ed):
             # (re)entering an epoch — a mid-epoch crash or sparse-snapshot
@@ -386,101 +398,126 @@ class CrawlJob:
 
             shutil.rmtree(ed)
         os.makedirs(ed, exist_ok=True)
-        local = n_hint is not None and n_hint <= self.spec.local_round_threshold
+        self._mark_t = time.perf_counter()
+        k = self.seen.k
         if isinstance(candidates, rd.Dataset):
-            candidates = [r for r in candidates.to_arrow_refs()]
-        if local:
-            prefiltered = False
+            candidates = candidates.to_arrow_refs()
+        small = n_hint is not None and n_hint <= spec.local_round_threshold
+        in_process = False
+        pf, self._prefilter = self._prefilter, None
+        if (isinstance(candidates, list) and pf is not None
+                and pf["key"] == tuple(r.hex() for r in candidates)):
+            # the previous round speculated these filter tasks against its
+            # in-flight link refs — they are done (or finishing) by now
+            blocks, keymat = pf["filt"], pf["keymat"]
+        elif small:
             if isinstance(candidates, list):
-                pf = self._prefilter
-                self._prefilter = None
-                if pf is not None and pf["key"] == tuple(r.hex() for r in candidates):
-                    candidates, prefiltered = pf["filt"], True
-                parts = [t for t in ray.get(candidates) if t.num_rows > 0]
-                candidates = (
-                    pa.concat_tables(parts) if parts
-                    else (_empty_candidates() if prefiltered else _empty_links_table())
+                candidates = [t for t in ray.get(candidates) if t.num_rows]
+            else:
+                candidates = [candidates]
+            out = _filter_and_split(spec, self.robots, k, self._content_seq,
+                                    self._lazy_robots_handles,
+                                    *(candidates or [_empty_links_table()]))
+            blocks, keymat, in_process = [out[0]], [out[1:]], True
+        else:
+            if isinstance(candidates, pa.Table):
+                candidates = [ray.put(candidates)]
+            blocks, keymat = [], []
+            for grp in _coalesce_groups(candidates, n_hint):
+                rets = _filter_extract.options(num_returns=1 + k).remote(
+                    spec, self.robots_ref, k, self._content_seq,
+                    self._lazy_robots_handles, *grp
                 )
-            self.bench.start("local_round")
-            try:
-                return self._round_local(candidates, epoch, ed, prefiltered)
-            finally:
-                self.bench.stop("local_round")
-        if isinstance(candidates, pa.Table):
-            candidates = [ray.put(candidates)]
-        return self._round_dist(candidates, epoch, ed, n_hint)
-
-    # -- local (driver) fast path -------------------------------------
-    def _round_local(self, cand: pa.Table, epoch: int, ed: str,
-                     prefiltered: bool = False):
-        spec = self.spec
-        if prefiltered:
-            passed = cand  # filter already ran in the speculative tasks
-        else:
-            passed = (
-                self._local_filter(cand, content_seq=self._content_seq)
-                if cand.num_rows else cand
+                blocks.append(rets[0])
+                keymat.append(rets[1:])
+        B = len(blocks)
+        if B == 0:
+            return self._empty_round(ed)
+        # each seen shard answers the whole round in ONE gate_parts call,
+        # returning only per-block counts to the driver while the winner row
+        # arrays stay in the object store
+        counts_refs = []
+        winner_mat: list[list] = [[None] * k for _ in range(B)]
+        for s in range(k):
+            rets = self.seen.shards[s].gate_parts.options(num_returns=1 + B).remote(
+                *[keymat[b][s] for b in range(B)]
             )
-        if passed.num_rows:
-            df = passed.to_pandas()
-            df = df.sort_values(["parent_seq", "link_idx"], kind="stable")
-            df = df.drop_duplicates("url_md5", keep="first")
-            new_mask = self.seen.check_and_add(df["url_md5"].tolist())
-            df = df[new_mask]
-            df = df.sort_values(["parent_seq", "link_idx"], kind="stable")
-            df["enqueue_seq"] = np.arange(self.next_seq, self.next_seq + len(df))
-            self.next_seq += len(df)
-            df = df.sort_values(["priority", "enqueue_seq"], ascending=[False, True],
-                                kind="stable")
-            if spec.request_limit:
-                df = df.head(max(0, spec.request_limit - self.fetched))
-        else:
-            df = passed.to_pandas()
-            df["enqueue_seq"] = np.array([], dtype=np.int64)
-        return self._local_tail(df, epoch, ed)
+            counts_refs.append(rets[0])
+            for b in range(B):
+                winner_mat[b][s] = rets[1 + b]
+        self._mark("launch_filter+gate")
+        counts, probed = np.stack(ray.get(counts_refs)).sum(axis=0)
+        self._mark("gate_counts")
+        n_win = int(counts.sum())
+        gate = (n_win, int(probed.sum()) - n_win)  # (urls_enqueued, urls_deduped)
+        if n_win > spec.local_round_threshold:
+            return self._round_graph(blocks, winner_mat, counts, epoch, ed, gate)
+        # driver rank: gather the winner rows (at most the threshold), assign
+        # enqueue_seq in (parent_seq, link_idx) order, then pop order
+        # (priority desc, enqueue_seq) and the request budget (A2)
+        live = [b for b in range(B) if counts[b]]
+        rows = ray.get([w for b in live for w in winner_mat[b]])
+        tables = [blocks[b] for b in live]
+        if not in_process:
+            tables = ray.get(tables)
+        t = _concat_nonempty(
+            [_keep_rows(tb, *rows[i * k:(i + 1) * k]) for i, tb in enumerate(tables)],
+            _empty_candidates().schema,
+        )
+        t = t.take(pc.sort_indices(t, [("parent_seq", "ascending"), ("link_idx", "ascending")]))
+        t = t.append_column(
+            "enqueue_seq", pa.array(np.arange(self.next_seq, self.next_seq + n_win), pa.int64())
+        )
+        self.next_seq += n_win
+        t = t.take(pc.sort_indices(t, [("priority", "descending"), ("enqueue_seq", "ascending")]))
+        if spec.request_limit:
+            t = t.slice(0, max(0, spec.request_limit - self.fetched))
+        self._mark("tail_collapse")
+        if not small:
+            self.tail_collapses += 1
+        return self._local_tail(t, epoch, ed, gate)
 
-    def _local_tail(self, df, epoch: int, ed: str):
-        """Fetch + sinks for a driver-sized round: ``df`` is the gated,
-        budget-capped frontier with ``enqueue_seq`` assigned, sorted in pop
-        order.  Shared by the local path and by ``_round_dist``'s tail
-        collapse (a distributed round whose gate leaves only a handful of
-        winners delegates here instead of paying the rank/split/finalize
-        task machinery — the BFS tail's fixed cost at every pool size)."""
+    def _empty_round(self, ed: str):
+        self._drain_pending()
+        self._finish_epoch(ed, _empty_links_table(), rows=0)
+        return 0, _empty_links_table(), 0
+
+    def _local_tail(self, front: pa.Table, epoch: int, ed: str, gate: tuple[int, int]):
+        """Fetch + sinks for a driver-ranked round: ``front`` is the gated,
+        budget-capped frontier with ``enqueue_seq`` assigned, in pop order.
+        Skips the block graph's rank/split/finalize task machinery — the
+        BFS head and tail rounds' fixed cost at every pool size."""
         spec = self.spec
-        n_frontier = len(df)
+        n_frontier = front.num_rows
         if n_frontier == 0:
-            self._drain_pending()
-            self._finish_epoch(ed, links=_empty_links_table(), rows=0)
-            return 0, _empty_links_table(), 0
+            return self._empty_round(ed)
         self.fetched += n_frontier
-        frontier_t = pa.Table.from_pandas(df, preserve_index=False)
-        storage.commit_table(frontier_t, os.path.join(ed, "frontier"))
+        storage.commit_table(front, os.path.join(ed, "frontier"))
         # politeness ledger lives on the schedule shards (shared with the
-        # distributed path so clocks stay consistent across path switches)
+        # block graph so clocks stay consistent across path switches)
         sched_dir = os.path.join(ed, "schedule")
         parts = split_sched_parts(
-            df["host"].tolist(), df["enqueue_seq"].to_numpy(),
-            df["priority"].to_numpy(), self.sched.p,
+            front.column("host").to_pylist(), front.column("enqueue_seq").to_numpy(),
+            front.column("priority").to_numpy(), self.sched.p,
         )
         ray.get(self.sched.schedule_round(sched_dir, bool(spec.priority_rules), [parts]))
         storage.mark_complete(sched_dir)
 
-        frontier_cols = df[["url", "url_md5", "host", "depth", "priority",
-                            "enqueue_seq", "referer", "linktext"]]
+        frontier_cols = front.select(["url", "url_md5", "host", "depth", "priority",
+                                      "enqueue_seq", "referer", "linktext"])
         if n_frontier > 64:
-            # local frontier prep, pooled fetch: the round is small enough
-            # that shuffles aren't worth it, but the fetch compute still is
-            block = ray.put(pa.Table.from_pandas(frontier_cols, preserve_index=False))
+            # driver-ranked frontier, pooled fetch: the round is small enough
+            # that the block graph isn't worth it, but the fetch compute is
             bpw = self.spec.fetch_batches_per_worker
             bs = max(16, min(self.spec.fetch_batch_size,
                              -(-n_frontier // (bpw * self.fetch_pool.k))))
-            out_refs = self.fetch_pool.submit([block], [n_frontier], bs)
+            out_refs = self.fetch_pool.submit([ray.put(frontier_cols)], [n_frontier], bs)
             out = pa.concat_tables(ray.get(out_refs))
         else:
             from ..stages.fetch import OutBuilder
 
             ob = OutBuilder()
-            for fr in frontier_cols.to_dict("records"):
+            for fr in frontier_cols.to_pylist():
                 self._local_fetcher._process_into(fr, ob)
             out = ob.build()
         kinds = {
@@ -516,92 +553,40 @@ class CrawlJob:
                              os.path.join(ed, "attachments"))
 
         links = kinds["link"].select(_LINK_COLS)
-        metrics = _metrics_from_table(kinds["fetch"], images.num_rows, epoch)
+        metrics = _metrics_from_table(kinds["fetch"], images.num_rows, epoch, *gate)
         self.bytes_total += int(metrics.column("bytes_received")[0].as_py())
         storage.commit_table(metrics, os.path.join(ed, "metrics"))
         self._drain_pending()
-        self._finish_epoch(ed, links=links, rows=n_frontier)
+        self._finish_epoch(ed, links, rows=n_frontier)
         return n_frontier, links, links.num_rows
 
-    # -- distributed path ----------------------------------------------
-    def _round_dist(self, candidates: list, epoch: int, ed: str,
-                    n_hint: int | None = None):
-        """Block-graph round with NO Dataset execution and exactly TWO driver
-        barriers before the fetch wave (winner counts + split metas):
+    # -- block graph ---------------------------------------------------
+    def _round_graph(self, blocks: list, winner_mat: list, counts: np.ndarray,
+                     epoch: int, ed: str, gate: tuple[int, int]):
+        """Block-graph rank + fetch + sinks for a round whose gate left more
+        than ``local_round_threshold`` winners.  The driver waits on two
+        barriers only: the gate counts (in ``_round``) and the split metas.
 
         Link blocks arrive from the previous round's split tasks in fetch
         order, so every block is already sorted by (parent_seq, link_idx)
-        and block ranges are disjoint ascending — the rank order is free
-        and the former per-round Dataset sort is unnecessary.  Candidate
-        filtering + per-shard key extraction run fused as one task per
-        block; each seen shard answers the whole round in ONE ``gate_parts``
-        call, returning only per-block winner COUNTS to the driver while
-        the winner row arrays travel worker-to-worker into the rank tasks.
-        Rank tasks write frontier parts AND emit hash(host) schedule parts
-        consumed by the politeness shard pool (no per-row host/seq data on
-        the driver, ever).  Fetch runs on the persistent worker pool; sink
-        writes and the schedule futures drain during the next round."""
+        and block ranges are disjoint ascending — ranking is offset
+        arithmetic, no sort.  ``blocks`` are the filtered blocks and
+        ``winner_mat[b][s]`` seen shard s's winner rows of block b, still in
+        the object store.  Rank tasks write frontier parts AND emit
+        hash(host) schedule parts consumed by the politeness shard pool (no
+        per-row host/seq data on the driver, ever).  Fetch runs on the
+        persistent worker pool; sink writes and the schedule futures drain
+        during the next round."""
         spec = self.spec
-        import time as _time
-
-        _prof = os.environ.get("LCRAY_PROFILE")
-        _t = _time.perf_counter()
-
-        def _mark(label: str) -> None:
-            nonlocal _t
-            now = _time.perf_counter()
-            # canonical phase name = label minus the per-round detail suffix
-            self.bench.add(label.split(" ")[0], now - _t)
-            if _prof:
-                print(f"    [dist] {label}: {now - _t:.2f}s", flush=True)
-            _t = now
-
         k, P = self.seen.k, self.sched.p
-        if len(candidates) == 0:
-            self._drain_pending()
-            self._finish_epoch(ed, links=_empty_links_table(), rows=0)
-            return 0, _empty_links_table(), 0
-        # the previous round usually speculated these filter tasks against
-        # its in-flight link refs — if so they are done (or finishing) by now
-        pf = self._prefilter
-        self._prefilter = None
-        if pf is not None and pf["key"] == tuple(r.hex() for r in candidates):
-            filt_refs, keymat = pf["filt"], pf["keymat"]
-            B = len(filt_refs)
-        else:
-            grouped = _coalesce_groups(candidates, n_hint)
-            B = len(grouped)
-            filt_refs, keymat = [], []
-            for grp in grouped:
-                rets = _filter_extract.options(num_returns=1 + k).remote(
-                    spec, self.robots_ref, k, self._content_seq,
-                    self._lazy_robots_handles, *grp
-                )
-                filt_refs.append(rets[0])
-                keymat.append(rets[1:])
-        counts_refs = []
-        winner_mat: list[list] = [[None] * k for _ in range(B)]
-        for s in range(k):
-            rets = self.seen.shards[s].gate_parts.options(num_returns=1 + B).remote(
-                *[keymat[b][s] for b in range(B)]
-            )
-            counts_refs.append(rets[0])
-            for b in range(B):
-                winner_mat[b][s] = rets[1 + b]
-        _mark(f"launch_filter+gate B={B}")
-        counts = np.stack(ray.get(counts_refs)).sum(axis=0).astype(np.int64)
-        _mark(f"gate_counts n={int(counts.sum())}")
-
+        B = len(blocks)
         # request budget (A2): cap in seq order; with priority rules the cap
         # must take max-priority first → fall back to a Dataset sort+limit
-        blocks: list = filt_refs
         take = counts.copy()
         if spec.request_limit:
             remaining = max(0, spec.request_limit - self.fetched)
             if spec.priority_rules:
-                kept = [
-                    _apply_winners.remote(filt_refs[b], *winner_mat[b]) for b in range(B)
-                ]
+                kept = [_apply_winners.remote(blocks[b], *winner_mat[b]) for b in range(B)]
                 capped = (
                     rd.from_arrow_refs(kept)
                     .sort(["priority", "parent_seq", "link_idx"], descending=[True, False, False])
@@ -622,32 +607,7 @@ class CrawlJob:
         take = take[sel]
         n_frontier = int(take.sum())
         if n_frontier == 0:
-            self._drain_pending()
-            self._finish_epoch(ed, links=_empty_links_table(), rows=0)
-            return 0, _empty_links_table(), 0
-        if n_frontier <= spec.local_round_threshold:
-            # tail collapse: the gate left a driver-sized round (the raw
-            # link count that routed us here was dominated by already-seen
-            # URLs).  Gather the winner rows — tiny by construction — and
-            # run the local tail; the seen/content/sched shard state is
-            # shared, so path switches stay exact.
-            kept = [
-                blocks[b] if not winner_mat[b]
-                else _apply_winners.remote(blocks[b], *winner_mat[b])
-                for b in range(len(blocks))
-            ]
-            parts = [
-                t.slice(0, int(take[b])) for b, t in enumerate(ray.get(kept))
-            ]
-            tbl = pa.concat_tables([t for t in parts if t.num_rows])
-            df = tbl.to_pandas().sort_values(["parent_seq", "link_idx"], kind="stable")
-            df["enqueue_seq"] = np.arange(self.next_seq, self.next_seq + len(df))
-            self.next_seq += len(df)
-            df = df.sort_values(["priority", "enqueue_seq"], ascending=[False, True],
-                                kind="stable")
-            _mark(f"tail_collapse n={n_frontier}")
-            self.tail_collapses += 1
-            return self._local_tail(df, epoch, ed)
+            return self._empty_round(ed)
         # re-coalesce tiny winner blocks (r5): a dedup-heavy gate after a
         # huge round can leave hundreds of blocks with a handful of winners
         # each (profile: 9,841 winners across 1,220 blocks ≈ 8/block) —
@@ -705,7 +665,7 @@ class CrawlJob:
         # work-stealing dispatch; each completed batch's split task (links
         # checkpoint + meta projection) launches immediately so the sink
         # wave pipelines inside the fetch wave
-        _mark("rank+sched_launch")
+        self._mark("rank+sched_launch")
         links_dir = os.path.join(ed, "links")
         os.makedirs(links_dir, exist_ok=True)
         # adaptive batch size: a small round must still spread across the
@@ -777,7 +737,7 @@ class CrawlJob:
             self._note_content(fetch_small.column("status").to_pylist(),
                                fetch_small.column("url").to_pylist(),
                                fetch_small.column("enqueue_seq").to_pylist())
-        _mark("fetch+split")
+        self._mark("fetch+split")
         # every rank task is transitively complete once the split metas landed
         storage.mark_complete(frontier_dir)
         storage.mark_complete(links_dir)
@@ -804,33 +764,17 @@ class CrawlJob:
                                   *[att_w[s][b] for s in range(kc)])
             for b in range(nb)
         ]
-        _mark("sinks")
+        self._mark("sinks")
 
-        # state snapshots are SUBMITTED synchronously (actor mailboxes pin
-        # them to exactly this epoch's position) but GATHERED in the next
-        # round's drain — the payload writes + metrics + done marker defer
-        # the same way, so nothing verdict-shaped blocks this round.
-        # Snapshots every `snapshot_every` epochs: resume re-enters at the
-        # last snapshotted epoch and deterministically re-crawls the rest.
-        snap_refs = None
-        if epoch % max(1, self.spec.snapshot_every) == 0:
-            snap_refs = {
-                "seen": self.seen.snapshot_refs(),
-                "content": self.content_seen.snapshot_refs(),
-                "hosts": self.sched.snapshot_refs(),
-                "docsim": self.docsim.snapshot_refs(),
-            }
+        # state snapshots are SUBMITTED now (actor mailboxes pin them to
+        # exactly this epoch's position) but GATHERED in the next round's
+        # drain — the payload writes + metrics + done marker defer the same
+        # way, so nothing verdict-shaped blocks this round
         self._pending = dict(
             ed=ed, epoch=epoch, img_dir=img_dir, doc_dir=doc_dir, att_dir=att_dir,
-            fetch_small=fetch_small, writes=writes, n_img=nb,
-            sched_futs=sched_futs, sched_dir=sched_dir, snap_refs=snap_refs,
-            snap_path=os.path.join(ed, "seen.npz"),
-            meta={"next_seq": self.next_seq, "fetched": self.fetched,
-                  "rows": n_frontier, "links": n_links,
-                  "bytes_total": self.bytes_total,
-                  "content_found": self._content_found,
-                  "content_seq": self._content_seq,
-                  "anchor_url": self._anchor_url},
+            fetch_small=fetch_small, writes=writes, n_img=nb, gate=gate,
+            sched_futs=sched_futs, sched_dir=sched_dir,
+            snap_refs=self._snapshot_refs(epoch), meta=self._done_meta(n_frontier, n_links),
         )
         return n_frontier, list(link_refs), n_links
 
@@ -917,45 +861,43 @@ class CrawlJob:
         storage.mark_complete(p["doc_dir"])
         storage.mark_complete(p["att_dir"])
         storage.mark_complete(p["sched_dir"])
-        metrics = _metrics_from_table(p["fetch_small"], n_images, p["epoch"])
+        metrics = _metrics_from_table(p["fetch_small"], n_images, p["epoch"], *p["gate"])
         storage.commit_table(metrics, os.path.join(p["ed"], "metrics"))
-        if p.get("snap_refs"):
-            # the refs were submitted during the epoch (mailbox-ordered), so
-            # this gather observes exactly that epoch's state; the snapshot
-            # must land before the done marker for resume correctness
-            sr = p["snap_refs"]
-            hosts: dict[str, float] = {}
-            for part in ray.get(sr["hosts"]):
-                hosts.update(part)
-            _save_seen_snapshot(
-                p["snap_path"],
-                {"seen": ray.get(sr["seen"]), "content": ray.get(sr["content"]),
-                 "hosts": hosts, "docsim": ray.get(sr["docsim"])},
-            )
+        # the snapshot refs were submitted during the epoch (mailbox-ordered),
+        # so this gather observes exactly that epoch's state; the snapshot
+        # must land before the done marker for resume correctness
+        _save_seen_snapshot(os.path.join(p["ed"], "seen.npz"), p["snap_refs"])
         _write_done(p["ed"], p["meta"])
 
-    def _finish_epoch(self, ed: str, links, rows: int, n_links: int | None = None) -> None:
-        if links is not None:  # local path: links still need their checkpoint
-            storage.commit_table(links, os.path.join(ed, "links"))
-            n_links = links.num_rows
-        # honor the sparse-snapshot cadence here too (r5): the local/tail
-        # path used to gather + savez the FULL seen state synchronously on
-        # the driver at EVERY epoch — a width-independent cost the dist
-        # path already skips on non-snapshot epochs (resume re-enters at
-        # the last snapshotted epoch and re-crawls deterministically)
+    def _finish_epoch(self, ed: str, links: pa.Table, rows: int) -> None:
+        """Links checkpoint, snapshot (on the ``snapshot_every`` cadence) and
+        done marker for a round that ran to completion on the driver."""
+        storage.commit_table(links, os.path.join(ed, "links"))
         epoch = int(os.path.basename(ed).split("=")[1])
-        if epoch % max(1, self.spec.snapshot_every) == 0:
-            _save_seen_snapshot(
-                os.path.join(ed, "seen.npz"),
-                {"seen": self.seen.snapshot(), "content": self.content_seen.snapshot(),
-                 "hosts": self.sched.snapshot(), "docsim": self.docsim.snapshot()},
-            )
-        _write_done(ed, {"next_seq": self.next_seq, "fetched": self.fetched,
-                         "rows": rows, "links": n_links,
-                         "bytes_total": self.bytes_total,
-                         "content_found": self._content_found,
-                         "content_seq": self._content_seq,
-                         "anchor_url": self._anchor_url})
+        _save_seen_snapshot(os.path.join(ed, "seen.npz"), self._snapshot_refs(epoch))
+        _write_done(ed, self._done_meta(rows, links.num_rows))
+
+    def _snapshot_refs(self, epoch: int) -> dict | None:
+        """Submit the ``seen.npz`` payload's shard snapshots, or None off the
+        ``snapshot_every`` cadence (resume re-enters at the last snapshotted
+        epoch and deterministically re-crawls the rest)."""
+        if epoch % max(1, self.spec.snapshot_every):
+            return None
+        return {
+            "seen": self.seen.snapshot_refs(),
+            "content": self.content_seen.snapshot_refs(),
+            "hosts": self.sched.snapshot_refs(),
+            "docsim": self.docsim.snapshot_refs(),
+        }
+
+    def _done_meta(self, rows: int, n_links: int) -> dict:
+        """The ``_EPOCH_DONE`` payload — everything ``_resume_point`` reads."""
+        return {"next_seq": self.next_seq, "fetched": self.fetched,
+                "rows": rows, "links": n_links,
+                "bytes_total": self.bytes_total,
+                "content_found": self._content_found,
+                "content_seq": self._content_seq,
+                "anchor_url": self._anchor_url}
 
     @staticmethod
     def _image_rows(t: pa.Table) -> pa.Table:
@@ -984,7 +926,7 @@ class CrawlJob:
 
     def benchmarks(self) -> dict[str, float]:
         """A4 — whole-job phase decomposition: phase name → accumulated
-        seconds across every distributed round (getAllBenchmarks analog)."""
+        seconds across every round (getAllBenchmarks analog)."""
         return self.bench.all()
 
     def shutdown(self) -> None:
@@ -1041,10 +983,8 @@ class CrawlJob:
                 t = storage.load_table(p)
                 if t.num_columns == 0 or t.num_rows == 0:
                     continue
-                df = t.to_pandas().sort_values(
-                    ["priority", "enqueue_seq"], ascending=[False, True], kind="stable"
-                )
-                out.extend(df["url_md5"].tolist())
+                idx = pc.sort_indices(t, [("priority", "descending"), ("enqueue_seq", "ascending")])
+                out.extend(t.column("url_md5").take(idx).to_pylist())
         return out
 
 
@@ -1099,29 +1039,21 @@ def _noop() -> None:
     ~0.5 s on the first distributed round otherwise)."""
 
 
-@ray.remote
-def _filter_extract(spec: CrawlSpec, robots, k: int, content_seq: int,
-                    sched_handles: tuple, *tables: pa.Table):
-    """Fused CandidateFilter + per-seen-shard key extraction over one
-    coalesced group of link blocks (one task hop instead of two).  Returns
-    the filtered block followed by k key parts (``num_returns=1+k`` at the
-    call site); concat + mask filter preserve (parent_seq, link_idx) order.
+def _filter_and_split(spec: CrawlSpec, robots: dict, k: int, content_seq: int,
+                      sched_handles: tuple, *tables: pa.Table):
+    """CandidateFilter + per-seen-shard key extraction over one coalesced
+    group of link blocks — every round's filter, run in-process for a
+    driver-sized round and as a ``_filter_extract`` task otherwise.  Returns
+    the filtered block followed by k ``gate_parts`` key parts; concat + mask
+    filter preserve (parent_seq, link_idx) order.
 
     ``sched_handles``: non-empty in lazy-robots mode — the politeness shard
     actors answering hosts → robots rules (fetched on first sight)."""
-    _limit_arrow_threads()
     t = pa.concat_tables(tables) if len(tables) > 1 else tables[0]
-    filt = CandidateFilter.__new__(CandidateFilter)
-    import re
-
     from ..state.cuckoo import md5hex_to_u64_pairs
 
-    filt.spec = spec
-    filt.filter_res = [re.compile(r) for r in spec.url_filter_regexes]
-    filt.follow_res = [re.compile(r) for r in spec.url_follow_regexes]
-    filt.prio_res = [(re.compile(r), lvl) for r, lvl in spec.priority_rules]
-    filt.robots = robots if isinstance(robots, dict) else ray.get(robots)
-    filt._robots_checked = set()
+    filt = CandidateFilter(spec)
+    filt.robots = robots
     if sched_handles:
         from ..stages.politeness import host_shard
 
@@ -1139,8 +1071,6 @@ def _filter_extract(spec: CrawlSpec, robots, k: int, content_seq: int,
             return merged
 
         filt.robots_lookup = _lookup
-    else:
-        filt.robots_lookup = None
     out = filt(t, content_seq=content_seq)
     md5s = out.column("url_md5").to_pylist()
     hi, lo = md5hex_to_u64_pairs(md5s)
@@ -1159,14 +1089,23 @@ def _filter_extract(spec: CrawlSpec, robots, k: int, content_seq: int,
 
 
 @ray.remote
-def _apply_winners(t: pa.Table, *winner_rows: np.ndarray) -> pa.Table:
-    if t.num_rows == 0:
-        return t
+def _filter_extract(*args):
+    """``_filter_and_split`` as a task (``num_returns=1+k`` at the call
+    site); Ray resolves the robots ObjectRef argument to its dict."""
+    _limit_arrow_threads()
+    return _filter_and_split(*args)
+
+
+def _keep_rows(t: pa.Table, *winner_rows: np.ndarray) -> pa.Table:
+    """The rows of ``t`` named by the per-shard winner row arrays, in table
+    order."""
     mask = np.zeros(t.num_rows, dtype=bool)
     for w in winner_rows:
-        if w.size:
-            mask[w] = True
+        mask[w] = True
     return t.filter(pa.array(mask))
+
+
+_apply_winners = ray.remote(_keep_rows)
 
 
 @ray.remote
@@ -1188,12 +1127,8 @@ def _merge_winner_blocks(takes: list, nwin: list, *flat) -> pa.Table:
         t = flat[pos]
         ws = flat[pos + 1 : pos + 1 + nw]
         pos += 1 + nw
-        if nw and t.num_rows:
-            mask = np.zeros(t.num_rows, dtype=bool)
-            for w in ws:
-                if w.size:
-                    mask[w] = True
-            t = t.filter(pa.array(mask))
+        if nw:
+            t = _keep_rows(t, *ws)
         out.append(t.slice(0, tk))
     return pa.concat_tables(out)
 
@@ -1210,11 +1145,7 @@ def _rank_sched_write_block(
     import pyarrow.parquet as pq
 
     if winner_rows:
-        mask = np.zeros(t.num_rows, dtype=bool)
-        for w in winner_rows:
-            if w.size:
-                mask[w] = True
-        t = t.filter(pa.array(mask))
+        t = _keep_rows(t, *winner_rows)
     t = t.slice(0, take_n)
     t = t.append_column("enqueue_seq", pa.array(np.arange(offset, offset + t.num_rows), pa.int64()))
     pq.write_table(t, os.path.join(frontier_dir, f"part-{part:05d}.parquet"))
@@ -1494,8 +1425,12 @@ def _doc_rows(t: pa.Table) -> pa.Table:
     return out.append_column("url_md5", t.column("doc_id"))
 
 
-def _metrics_from_table(fetch: pa.Table, n_images: int, epoch: int) -> pa.Table:
-    """A1 counters from the (small) fetch-metric columns, driver-side."""
+def _metrics_from_table(fetch: pa.Table, n_images: int, epoch: int,
+                        enqueued: int, deduped: int) -> pa.Table:
+    """A1 counters from the (small) fetch-metric columns, driver-side, plus
+    the seen gate's counts: ``enqueued`` winners (before the request budget)
+    and ``deduped`` filter-passing rows that lost the gate (already seen, or
+    a later duplicate within the round)."""
     from ..schemas import METRICS
 
     n = fetch.num_rows
@@ -1528,8 +1463,8 @@ def _metrics_from_table(fetch: pa.Table, n_images: int, epoch: int) -> pa.Table:
             "retries": pa.array([vals["retries"]], pa.int64()),
             "fetch_ms_sum": pa.array([vals["fetch_ms_sum"]], pa.float64()),
             "images_written": pa.array([n_images], pa.int64()),
-            "urls_enqueued": pa.array([0], pa.int64()),
-            "urls_deduped": pa.array([0], pa.int64()),
+            "urls_enqueued": pa.array([enqueued], pa.int64()),
+            "urls_deduped": pa.array([deduped], pa.int64()),
         },
         schema=METRICS,
     )
@@ -1552,9 +1487,18 @@ def _write_done(epoch_dir: str, meta: dict) -> None:
     os.replace(tmp, os.path.join(epoch_dir, "_EPOCH_DONE"))
 
 
-def _save_seen_snapshot(path: str, snaps: dict) -> None:
+def _save_seen_snapshot(path: str, refs: dict | None) -> None:
+    """Gather ``CrawlJob._snapshot_refs`` and write them atomically; no-op
+    for None (an epoch off the snapshot cadence)."""
     import pickle
 
+    if refs is None:
+        return
+    hosts: dict[str, float] = {}
+    for part in ray.get(refs["hosts"]):
+        hosts.update(part)
+    snaps = {"seen": ray.get(refs["seen"]), "content": ray.get(refs["content"]),
+             "hosts": hosts, "docsim": ray.get(refs["docsim"])}
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
         pickle.dump(snaps, f, protocol=4)

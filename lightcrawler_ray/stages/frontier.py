@@ -117,9 +117,11 @@ class CrawlSpec:
     # by the initial fill (nothing left to steal — a straggler's second
     # batch can't migrate), so 4 keeps half the round stealable
     fetch_batches_per_worker: int = 4
-    # rounds at or below this many candidate rows run on the driver through
-    # the same operator code (adaptive execution — see pipelines/crawl.py);
-    # 0 forces every round through the distributed path
+    # rounds of at most this many candidate rows are filtered on the driver,
+    # and rounds whose gate leaves at most this many winners are ranked and
+    # fetched from the driver — the same steps either way (adaptive
+    # execution, see pipelines/crawl.py); 0 sends every round through the
+    # remote filter tasks and the block graph
     local_round_threshold: int = 4096
     # checkpoint the seen shards every K epochs (resume re-enters at the last
     # snapshotted epoch; K>1 trades resume work for per-round driver time)

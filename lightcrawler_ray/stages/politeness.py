@@ -211,19 +211,6 @@ class SchedulePool:
             for i in range(p)
         ]
 
-    def robots_for(self, hosts: list[str]) -> dict[str, dict]:
-        """Driver-side lazy-robots lookup (local rounds): scatter hosts to
-        their owning shards, merge the rules."""
-        futs = []
-        for s in range(self.p):
-            hs = [h for h in hosts if host_shard(h, self.p) == s]
-            if hs:
-                futs.append(self.shards[s].robots_for.remote(hs))
-        out: dict[str, dict] = {}
-        for d in ray.get(futs):
-            out.update(d)
-        return out
-
     def schedule_round(self, out_path: str, use_priority: bool,
                        part_matrix: list[list]) -> list:
         """``part_matrix[b][p]`` = (refs to) block b's part for shard p.
@@ -234,12 +221,6 @@ class SchedulePool:
             parts = [row[s] for row in part_matrix]
             futs.append(self.shards[s].schedule_parts.remote(out_path, use_priority, *parts))
         return futs
-
-    def snapshot(self) -> dict[str, float]:
-        merged: dict[str, float] = {}
-        for snap in ray.get([s.snapshot.remote() for s in self.shards]):
-            merged.update(snap)
-        return merged
 
     def snapshot_refs(self) -> list:
         """Mailbox-pinned snapshot submission (see SeenSet.snapshot_refs);

@@ -58,22 +58,15 @@ class SeenShard:
         self.cuckoo.add_hashes(h[new])
         return new
 
-    def contains(self, md5s: list[str]) -> np.ndarray:
-        if not md5s:
-            return np.zeros(0, dtype=bool)
-        if self.exact is not None:
-            return np.fromiter((m in self.exact for m in md5s), dtype=bool, count=len(md5s))
-        return self.cuckoo.contains_hashes(hashes_from_md5hex(md5s))
-
     # -- fused within-round dedup + cross-round gate -------------------------
     # Replaces a whole groupby shuffle: the driver sends ALL of a round's key
     # parts for this shard in ONE call (same md5 → same shard, so every
     # duplicate of a key is in the call); the shard computes the
     # min-(parent_seq, link_idx) winner per unseen key vectorized and marks
     # winners seen.  Deterministic regardless of block order — the min is
-    # order-free.  Returns (per-part winner counts, *per-part winner row
-    # arrays) so callers can take only the small counts to the driver and
-    # route the row arrays worker-to-worker by ref.
+    # order-free.  Returns (counts, *per-part winner row arrays) so callers
+    # can take only the small counts to the driver and route the row arrays
+    # worker-to-worker by ref; counts is (2, parts): winners, probed rows.
 
     def gate_parts(self, *parts: dict):
         """Each part: {"md5": [...], "hi": u64, "lo": u64, "seq": i64,
@@ -84,7 +77,7 @@ class SeenShard:
         total = int(sum(sizes))
         empty = tuple(np.zeros(0, dtype=np.int64) for _ in range(B))
         if total == 0:
-            return (np.zeros(B, dtype=np.int64), *empty)
+            return (np.zeros((2, B), dtype=np.int64), *empty)
         md5_all: list[str] = []
         for p in parts:
             md5_all.extend(p["md5"])
@@ -121,7 +114,7 @@ class SeenShard:
             counts[b] = rows_b.size
             out.append(rows_b)
             off += sizes[b]
-        return (counts, *out)
+        return (np.stack([counts, np.asarray(sizes, dtype=np.int64)]), *out)
 
     def stats(self) -> dict:
         return {
@@ -186,22 +179,6 @@ class SeenSet:
             idx = np.nonzero(sh == s)[0]
             if idx.size:
                 futures.append(self.shards[s].check_and_add.remote([md5s[i] for i in idx]))
-                index_lists.append(idx)
-        for idx, res in zip(index_lists, ray.get(futures)):
-            mask[idx] = res
-        return mask
-
-    def contains(self, md5s: list[str]) -> np.ndarray:
-        n = len(md5s)
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        sh = shard_of(md5s, self.k)
-        mask = np.zeros(n, dtype=bool)
-        futures, index_lists = [], []
-        for s in range(self.k):
-            idx = np.nonzero(sh == s)[0]
-            if idx.size:
-                futures.append(self.shards[s].contains.remote([md5s[i] for i in idx]))
                 index_lists.append(idx)
         for idx, res in zip(index_lists, ray.get(futures)):
             mask[idx] = res

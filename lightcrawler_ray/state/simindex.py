@@ -211,9 +211,6 @@ class SimIndex:
                 else seq_to_id.get(int(b), f"<seq {int(b)}>")
                 for b in best]
 
-    def snapshot(self) -> list[dict]:
-        return ray.get([s.snapshot.remote() for s in self.shards])
-
     def snapshot_refs(self) -> list:
         """Mailbox-pinned snapshot submission (see SeenSet.snapshot_refs)."""
         return [s.snapshot.remote() for s in self.shards]

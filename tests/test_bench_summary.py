@@ -71,25 +71,6 @@ def test_mem_probe_gate_constant_between_observed_bands():
     assert 36000.0 < bench.MEM32_CALM_FLOOR_MBS < 43000.0
 
 
-def test_below_floor_fails_closed_at_nonshipped_pool(monkeypatch):
-    # floors are calibrated for pool-75 only — an A/B run at another pool
-    # pct must never be certified at-grade (ADVICE r4)
-    monkeypatch.setenv("LCRAY_POOL_PCT", "50")
-    assert bench._below_floor(4, 32, 99999.0)
-    monkeypatch.setenv("LCRAY_POOL_PCT", "75")
-    assert not bench._below_floor(4, 32, 5255.0)
-
-
-def test_pool_pct_validation(monkeypatch):
-    monkeypatch.delenv("LCRAY_POOL_PCT", raising=False)
-    assert bench._pool_pct() == 75
-    monkeypatch.setenv("LCRAY_POOL_PCT", "62")
-    assert bench._pool_pct() == 62
-    for bad in ("abc", "0", "101", ""):
-        monkeypatch.setenv("LCRAY_POOL_PCT", bad)
-        assert bench._pool_pct() == 75  # malformed → shipped default, no raise
-
-
 def test_summarize_reports_floors_for_run_depth():
     # a depth-4 run must self-describe with the depth-4 floors (ADVICE r4:
     # the old unconditional depth-3 dict mislabeled default-protocol output)

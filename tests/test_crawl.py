@@ -158,14 +158,44 @@ def test_resume_from_checkpoint(ray_session, fixture_paths, golden, tmp_path):
         j2.shutdown()
 
 
-def test_mixed_path_parity(ray_session, fixture_paths, golden, tmp_path):
-    """The adaptive local/distributed dispatch must be semantically invisible:
-    default threshold (small rounds on the driver) reproduces the same order
-    and membership as the all-distributed run."""
+def _epoch_table(job, d: str, name: str) -> pa.Table | None:
+    from lightcrawler_ray import storage
+
+    p = os.path.join(job.job_dir, d, name)
+    if not os.path.isdir(p):
+        return None
+    t = storage.load_table(p)
+    return t if t.num_columns else None
+
+
+def _epoch_outputs(job) -> dict:
+    """Per epoch: frontier (url_md5, enqueue_seq) pairs and the image_id /
+    doc_id sets the sinks kept."""
+    cols = {"frontier": ("url_md5", "enqueue_seq"), "images": ("image_id",),
+            "docs": ("doc_id",)}
+    out = {}
+    for d in sorted(os.listdir(job.job_dir)):
+        if not d.startswith("epoch="):
+            continue
+        row = {}
+        for name, keys in cols.items():
+            t = _epoch_table(job, d, name)
+            row[name] = set(zip(*(t.column(c).to_pylist() for c in keys))) if t else set()
+        out[d] = row
+    return out
+
+
+@pytest.mark.parametrize("threshold", [0, 40, 4096])
+def test_mixed_path_parity(ray_session, fixture_paths, golden, engine_run, tmp_path, threshold):
+    """Where a round's filter and rank run (driver or remote tasks / block
+    graph) must be semantically invisible: at any threshold the crawl has
+    the same order and membership as the simulator, and every epoch the
+    same frontier (url_md5, enqueue_seq) and kept image/doc ids as the
+    all-distributed run (threshold 40 makes rounds straddle it)."""
     from lightcrawler_ray.pipelines.crawl import CrawlJob
 
     p, paths = fixture_paths
-    spec = make_spec(local_round_threshold=40)  # rounds straddle the threshold
+    spec = make_spec(local_round_threshold=threshold)
     seeds = pq.read_table(paths["seeds"])
     job = CrawlJob(spec, seeds, paths["pages"], paths["images"], paths["robots"],
                    str(tmp_path / "mixed"))
@@ -173,8 +203,55 @@ def test_mixed_path_parity(ray_session, fixture_paths, golden, tmp_path):
     try:
         assert set(job.seen.members()) == golden.seen
         assert job.crawl_order() == golden.order
+        assert _epoch_outputs(job) == _epoch_outputs(engine_run[0])
     finally:
         job.shutdown()
+
+
+@pytest.mark.parametrize("threshold", [0, 4096])
+def test_gate_count_metrics(ray_session, fixture_paths, engine_run, tmp_path, threshold):
+    """Per epoch, the METRICS gate columns reconcile with the epoch tables:
+    urls_enqueued = frontier rows, and urls_enqueued + urls_deduped = the
+    candidates CandidateFilter keeps (within-round duplicates and
+    already-seen keys both count as deduped)."""
+    import json
+
+    from lightcrawler_ray.pipelines.crawl import CrawlJob
+    from lightcrawler_ray.stages.frontier import CandidateFilter
+
+    p, paths = fixture_paths
+    if threshold == 0:
+        job = engine_run[0]  # make_spec() is the all-distributed threshold 0
+    else:
+        job = CrawlJob(make_spec(local_round_threshold=threshold), pq.read_table(paths["seeds"]),
+                       paths["pages"], paths["images"], paths["robots"], str(tmp_path / "gate"))
+        job.run(max_rounds=10)
+    try:
+        filt = CandidateFilter(job.spec)
+        filt.robots = job.robots
+        metrics = {r["epoch"]: r for r in job.metrics().to_pylist()}
+        cands = job._seed_table()
+        content_seq = (1 << 62) if job.spec.redirects_till_content else -1
+        epochs = sorted(d for d in os.listdir(job.job_dir) if d.startswith("epoch="))
+        deduped = 0
+        for d in epochs:
+            kept = filt(cands, content_seq=content_seq)
+            front = _epoch_table(job, d, "frontier")
+            m = metrics.get(int(d.split("=")[1]))
+            if m is None:  # a round whose gate left no winners writes no metrics
+                assert front is None or front.num_rows == 0
+            else:
+                assert m["urls_enqueued"] == front.num_rows
+                assert m["urls_enqueued"] + m["urls_deduped"] == kept.num_rows
+                deduped += m["urls_deduped"]
+            links = _epoch_table(job, d, "links")
+            cands = links if links is not None else cands.slice(0, 0)
+            with open(os.path.join(job.job_dir, d, "_EPOCH_DONE")) as f:
+                content_seq = json.load(f)["content_seq"]
+        assert len(metrics) >= 2 and deduped > 0
+    finally:
+        if threshold:
+            job.shutdown()
 
 
 def test_resume_from_sparse_snapshot(ray_session, fixture_paths, golden, tmp_path):
