@@ -87,11 +87,13 @@ def simhash64(text: str) -> int:
     w = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
     # bit j of hash i via unpackbits on the little-endian byte view — the
     # (n,64) 0/1 matrix the old shift-broadcast built, without the n×64
-    # uint64 intermediate; votes = w·bits − (tot − w·bits) = 2·w·bits − tot
-    bits = np.unpackbits(hs.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+    # uint64 intermediate; votes = w·bits − (tot − w·bits) = 2·w·bits − tot.
+    # Both byte views are pinned to '<u8' so bit j is bit j on any host.
+    bits = np.unpackbits(hs.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8),
+                         axis=1, bitorder="little")
     votes = w @ bits.astype(np.int64)
     sig = (votes * 2 - w.sum() > 0).astype(np.uint8)
-    return int(np.packbits(sig, bitorder="little").view(np.uint64)[0])
+    return int(np.packbits(sig, bitorder="little").view("<u8")[0])
 
 
 def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:

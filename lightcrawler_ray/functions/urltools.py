@@ -24,6 +24,7 @@ worker process, the moral equivalent of per-actor init for stateless fns).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import html as _html
 import re
@@ -51,9 +52,6 @@ _PCT_RE = re.compile(r"%([0-9a-fA-F]{2})")
 # no port/auth/query/fragment/%-escape/whitespace; path either absent or
 # ≥2 chars (a bare "/" is stripped by the slow path, so it must not match)
 _CANON_FAST_RE = re.compile(r"^https?://[a-z0-9][a-z0-9.-]*(?:/[^\s?#%]+)?$")
-
-# (base url, split_url(base)) — single-slot memo for resolve()'s per-page base
-_BASE_MEMO: tuple | None = None
 
 
 def _norm_pct(s: str) -> str:
@@ -221,14 +219,7 @@ def resolve(base: str, link: str) -> str | None:
         link = link.split("#", 1)[0]
         if not link:
             return None
-    # per-page base memo: find_links resolves every relative href of a page
-    # against the same base, so parse it once (read-only downstream)
-    memo = _BASE_MEMO
-    if memo is not None and memo[0] == base:
-        bp = memo[1]
-    else:
-        bp = split_url(base)
-        globals()["_BASE_MEMO"] = (base, bp)
+    bp = _split_base(base)
     if bp is None:
         return None
     scheme = bp["protocol"]
@@ -242,6 +233,14 @@ def resolve(base: str, link: str) -> str | None:
         return canonicalize(f'{scheme}://{netloc}{bp["path"]}{bp["file"]}{link}')
     # bare-relative: against the base *directory*
     return canonicalize(f'{scheme}://{netloc}{bp["path"]}{link}')
+
+
+@functools.lru_cache(maxsize=1)
+def _split_base(base: str) -> dict[str, str | int] | None:
+    """``split_url(base)`` memoized for the last base: find_links resolves
+    every relative href of a page against the same base.  The returned dict
+    is shared between calls — callers must not mutate it."""
+    return split_url(base)
 
 
 def url_md5(url: str) -> str:

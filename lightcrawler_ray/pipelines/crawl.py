@@ -4,9 +4,12 @@ per-epoch checkpointing (SURVEY.md §3 "Ray-Data restatement").
 Each round (epoch):
 
   link block refs ─ _filter_extract tasks        canonicalize+filter (M1-M3, M8, O2,
-                    (fused filter + key split)     T5) + per-seen-shard key parts
-                  ─ seen-shard gate_parts        within-round dedup D1 + cross-round
-                    (one fused call per shard)     gate T1, deterministic min-rank
+                    (fused filter + key split)     T5) once per distinct URL; block
+                                                   cut to its min-rank row per key
+                                                   + per-seen-shard key parts
+                  ─ seen-shard gate_parts        within-round dedup D1 across
+                    (one fused call per shard)     blocks + cross-round gate T1,
+                                                   deterministic min-rank
                                                    winners; only COUNTS hit the driver
                   ─ _rank_sched_write_block      enqueue_seq = FIFO pop order (O1) —
                     (no sort: blocks arrive        link blocks are emitted in rank
@@ -1044,14 +1047,15 @@ def _filter_and_split(spec: CrawlSpec, robots: dict, k: int, content_seq: int,
     """CandidateFilter + per-seen-shard key extraction over one coalesced
     group of link blocks — every round's filter, run in-process for a
     driver-sized round and as a ``_filter_extract`` task otherwise.  Returns
-    the filtered block followed by k ``gate_parts`` key parts; concat + mask
-    filter preserve (parent_seq, link_idx) order.
+    the filtered block, cut to one row per ``url_md5``, followed by k
+    ``gate_parts`` key parts whose ``dups`` count the rows cut here; concat,
+    take and mask filter preserve (parent_seq, link_idx) order.  Downstream
+    only ever reads a block's gate winners, and a key's winner can only be
+    the row kept here.
 
     ``sched_handles``: non-empty in lazy-robots mode — the politeness shard
     actors answering hosts → robots rules (fetched on first sight)."""
     t = pa.concat_tables(tables) if len(tables) > 1 else tables[0]
-    from ..state.cuckoo import md5hex_to_u64_pairs
-
     filt = CandidateFilter(spec)
     filt.robots = robots
     if sched_handles:
@@ -1072,20 +1076,23 @@ def _filter_and_split(spec: CrawlSpec, robots: dict, k: int, content_seq: int,
 
         filt.robots_lookup = _lookup
     out = filt(t, content_seq=content_seq)
-    md5s = out.column("url_md5").to_pylist()
-    hi, lo = md5hex_to_u64_pairs(md5s)
+    # within-block dedup: one row per key — its min (parent_seq, link_idx),
+    # so the result is independent of block order — and the key's hex → u64
+    # split once; the shard finishes the min across blocks
+    enc = out.column("url_md5").combine_chunks().dictionary_encode()
+    code = enc.indices.to_numpy(zero_copy_only=False)
     seq = np.asarray(out.column("parent_seq").to_numpy(zero_copy_only=False), dtype=np.int64)
     idx = np.asarray(out.column("link_idx").to_numpy(zero_copy_only=False), dtype=np.int64)
-    # same mapping as seenset.shard_of: low 32 md5 bits mod k
-    sh = ((lo & np.uint64(0xFFFFFFFF)) % np.uint64(k)).astype(np.int64)
-    parts = []
-    for s in range(k):
-        rows = np.nonzero(sh == s)[0]
-        parts.append(
-            {"md5": [md5s[i] for i in rows], "hi": hi[rows], "lo": lo[rows],
-             "seq": seq[rows], "idx": idx[rows], "row": rows}
-        )
-    return (out, *parts)
+    order = np.lexsort((idx, seq, code))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = code[order[1:]] != code[order[:-1]]
+    win = np.sort(order[first])
+    md5s = enc.dictionary.to_pylist()
+    wcode = code[win]
+    dups = np.bincount(code, minlength=len(md5s))[wcode] - 1
+    parts = _key_parts([md5s[c] for c in wcode], seq[win], idx[win],
+                       np.arange(win.size, dtype=np.int64), k, dups)
+    return (out.take(pa.array(win)), *parts)
 
 
 @ray.remote
@@ -1204,25 +1211,34 @@ def _split_sink(out: pa.Table, links_dir: str, part: int, kc: int):
             *_content_key_parts(att_meta, "doc_id", kc))
 
 
-def _content_key_parts(meta: pa.Table, key_col: str, k: int) -> list[dict]:
-    """Per-content-shard ``gate_parts`` inputs from a meta block: md5-hex key
-    + its (hi, lo) u64 split, enqueue_seq as the winner order, block row
-    index.  Same key→shard mapping as ``seenset.shard_of``."""
+def _key_parts(md5s: list[str], seq: np.ndarray, idx: np.ndarray, row: np.ndarray,
+               k: int, dups: np.ndarray | None = None) -> list[dict]:
+    """Split keyed rows into k ``SeenShard.gate_parts`` parts: md5-hex key,
+    its (hi, lo) u64 split, the (seq, idx) winner order, the block row and,
+    per part, ``dups`` — the sum of the optional per-row count of duplicate
+    rows already dropped for that key.  Same key→shard mapping as
+    ``seenset.shard_of``: low 32 md5 bits mod k."""
     from ..state.cuckoo import md5hex_to_u64_pairs
 
-    md5s = meta.column(key_col).to_pylist()
-    seqs = np.asarray(
-        meta.column("enqueue_seq").to_numpy(zero_copy_only=False), dtype=np.int64
-    )
-    rows = np.arange(len(md5s), dtype=np.int64)
     hi, lo = md5hex_to_u64_pairs(md5s)
     sh = ((lo & np.uint64(0xFFFFFFFF)) % np.uint64(k)).astype(np.int64)
     parts = []
     for s in range(k):
         r = np.nonzero(sh == s)[0]
         parts.append({"md5": [md5s[i] for i in r], "hi": hi[r], "lo": lo[r],
-                      "seq": seqs[r], "idx": rows[r], "row": rows[r]})
+                      "seq": seq[r], "idx": idx[r], "row": row[r],
+                      "dups": int(dups[r].sum()) if dups is not None else 0})
     return parts
+
+
+def _content_key_parts(meta: pa.Table, key_col: str, k: int) -> list[dict]:
+    """Per-content-shard ``gate_parts`` inputs from a meta block: the key
+    column, enqueue_seq as the winner order, block row index."""
+    seqs = np.asarray(
+        meta.column("enqueue_seq").to_numpy(zero_copy_only=False), dtype=np.int64
+    )
+    rows = np.arange(meta.num_rows, dtype=np.int64)
+    return _key_parts(meta.column(key_col).to_pylist(), seqs, rows, rows, k)
 
 
 def _merge_winner_rows(winners) -> np.ndarray:
@@ -1247,17 +1263,7 @@ def _doc_stage2(doc_meta: pa.Table, kc: int, *winners):
     has = np.fromiter((o != "" for o in ori), dtype=bool, count=len(ori))
     widx = np.nonzero(has)[0]
     keys = [hashlib.md5(("no:" + ori[i]).encode()).hexdigest() for i in widx]
-    from ..state.cuckoo import md5hex_to_u64_pairs
-
-    hi, lo = md5hex_to_u64_pairs(keys)
-    sh = ((lo & np.uint64(0xFFFFFFFF)) % np.uint64(kc)).astype(np.int64)
-    parts = []
-    for s in range(kc):
-        r = np.nonzero(sh == s)[0]
-        parts.append({
-            "md5": [keys[i] for i in r], "hi": hi[r], "lo": lo[r],
-            "seq": seqs[widx[r]], "idx": rows[widx[r]], "row": rows[widx[r]],
-        })
+    parts = _key_parts(keys, seqs[widx], rows[widx], rows[widx], kc)
     surv = {
         "row": rows, "seq": seqs, "has_ori": has,
         "sim": np.asarray(t.column("simhash").to_numpy(zero_copy_only=False), dtype=np.int64),

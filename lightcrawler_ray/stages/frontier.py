@@ -9,7 +9,10 @@ as, per round:
 1. candidates carry ``(parent_seq, link_idx)`` — the lexicographic order in
    which the reference would have enqueued them;
 2. duplicate URLs within the round collapse to the smallest
-   ``(parent_seq, link_idx)`` (the reference's first INSERT wins, T1);
+   ``(parent_seq, link_idx)`` (the reference's first INSERT wins, T1) —
+   each filter task first cuts its own block to that row per URL, and the
+   seen shard owning the URL takes the min across the round's blocks, so
+   the winner does not depend on how rows were split into blocks;
 3. the seen-set gate drops anything enqueued in an earlier round;
 4. survivors get contiguous ``enqueue_seq`` numbers in ``(parent_seq,
    link_idx)`` order — priority does NOT affect enqueue numbering, only pop
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 from ..functions import urltools as ut
@@ -148,17 +152,11 @@ class CandidateFilter:
         self.robots_lookup = None
         self._robots_checked: set[str] = set()
 
-    def _lazy_robots(self, urls: list[str]) -> None:
+    def _lazy_robots(self, hosts: list[str]) -> None:
         """Fetch rules for hosts this batch sees for the first time — one
         shard call per round per filter task, answered from the shard's
         cache after a host's first sight anywhere in the crawl."""
-        hosts: dict[str, None] = {}
-        for u in urls:
-            if u:
-                p = ut.split_url(u)
-                if p:
-                    hosts.setdefault(str(p["host"]))
-        missing = [h for h in hosts if h not in self._robots_checked]
+        missing = [h for h in dict.fromkeys(hosts) if h and h not in self._robots_checked]
         if missing:
             self._robots_checked.update(missing)
             self.robots = {**self.robots, **self.robots_lookup(missing)}
@@ -172,66 +170,71 @@ class CandidateFilter:
         PHPCrawlerURLFilter.class.php:121-135 — the reference flips the flag
         per processed page, not per crawl round).  ``redirect_only=True`` is
         the no-content-yet shorthand (content_seq = +inf); seed rows
-        (parent_seq < 0) always go through the normal rules."""
+        (parent_seq < 0) always go through the normal rules.
+
+        A round repeats the same URL on many rows (a nav link on every
+        page), so the ``url`` column is dictionary-encoded and everything
+        that depends on the URL alone — canonical form, host, md5, priority,
+        follow scope, robots — is computed once per distinct URL and mapped
+        back to rows through the dictionary indices.  Depth, the M9 rule and
+        the regexes (which also read the row's linktext) stay per row."""
         cs = (1 << 62) if redirect_only else content_seq
-        if t.num_rows == 0:
+        n = t.num_rows
+        if n == 0:
             return _empty_candidates()
-        urls = [ut.canonicalize(u) or "" for u in t.column("url").to_pylist()]
+        enc = t.column("url").combine_chunks().dictionary_encode()
+        code = enc.indices.to_numpy(zero_copy_only=False)
+        # per distinct URL
+        urls = [ut.canonicalize(u) or "" for u in enc.dictionary.to_pylist()]
+        parts = [ut.split_url(u) if u else None for u in urls]
+        hosts = [str(p["host"]) if p else "" for p in parts]
         if getattr(self, "robots_lookup", None) is not None:
-            self._lazy_robots(urls)
-        linktexts = t.column("linktext").to_pylist() if "linktext" in t.column_names else [""] * len(urls)
-        depths = t.column("depth").to_pylist()
-        redirs = (
-            t.column("is_redirect").to_pylist()
-            if "is_redirect" in t.column_names
-            else [False] * len(urls)
+            self._lazy_robots(hosts)
+        valid = np.fromiter((p is not None for p in parts), dtype=bool, count=len(parts))
+        url_ok = np.fromiter(
+            (p is not None
+             and self._follow_ok(u, h, str(p["domain"]), str(p["path"]))
+             and not (self.robots and self._robots_blocked(h, str(p["path"]) + str(p["file"])))
+             for u, h, p in zip(urls, hosts, parts)),
+            dtype=bool, count=len(parts),
         )
-        pseqs = (
-            t.column("parent_seq").to_pylist()
-            if "parent_seq" in t.column_names
-            else [-1] * len(urls)
-        )
-        keep = np.ones(len(urls), dtype=bool)
-        hosts, prios = [], []
-        for i, u in enumerate(urls):
-            if not u:
-                keep[i] = False
-                hosts.append("")
-                prios.append(0)
-                continue
-            p = ut.split_url(u)
-            host = str(p["host"])
-            hosts.append(host)
-            if 0 <= pseqs[i] < cs:
-                keep[i] = bool(redirs[i])
-                prios.append(self._priority(u))
-                continue
+        # per row
+        redir = _np_col(t, "is_redirect", n, False, bool)
+        pseq = _np_col(t, "parent_seq", n, -1, np.int64)
+        depth = t.column("depth").to_numpy(zero_copy_only=False)
+        redirect_only_row = (pseq >= 0) & (pseq < cs)
+        keep = valid[code] & np.where(
+            redirect_only_row,
+            redir,
             # depth limit (redirects don't consume depth, M9)
-            if depths[i] > self.spec.max_depth and not redirs[i]:
-                keep[i] = False
-            elif not self._follow_ok(u, host, str(p["domain"]), str(p["path"])):
-                keep[i] = False
-            elif self._blacklisted(u, linktexts[i] or ""):
-                keep[i] = False
-            elif self.robots and self._robots_blocked(host, str(p["path"]) + str(p["file"])):
-                keep[i] = False
-            prios.append(self._priority(u))
-        out = pa.table(
+            ((depth <= self.spec.max_depth) | redir) & url_ok[code],
+        )
+        linktext = (
+            pc.fill_null(t.column("linktext"), "").cast(pa.string())
+            if "linktext" in t.column_names else pa.array([""] * n, pa.string())
+        )
+        if self.filter_res or self.follow_res:
+            rows = np.flatnonzero(keep & ~redirect_only_row)
+            lt = linktext.take(pa.array(rows)).to_pylist()
+            keep[rows] = [not self._blacklisted(urls[code[i]], x) for i, x in zip(rows, lt)]
+        sel = np.flatnonzero(keep)
+        ix = pa.array(code[sel])
+        sel = pa.array(sel)
+        return pa.table(
             {
-                "url": pa.array(urls, pa.string()),
-                "url_md5": pa.array([ut.url_md5(u) if u else "" for u in urls], pa.string()),
-                "host": pa.array(hosts, pa.string()),
-                "link_raw": _col(t, "link_raw", len(urls)),
-                "linktext": pa.array([x or "" for x in linktexts], pa.string()),
-                "referer": _col(t, "referer", len(urls)),
-                "depth": pa.array(depths, pa.int32()),
-                "priority": pa.array(prios, pa.int32()),
-                "is_redirect": pa.array(redirs, pa.bool_()),
-                "parent_seq": _col(t, "parent_seq", len(urls), pa.int64(), -1),
-                "link_idx": _col(t, "link_idx", len(urls), pa.int64(), 0),
+                "url": pa.array(urls, pa.string()).take(ix),
+                "url_md5": pa.array([ut.url_md5(u) if u else "" for u in urls], pa.string()).take(ix),
+                "host": pa.array(hosts, pa.string()).take(ix),
+                "link_raw": _col(t, "link_raw", n).take(sel),
+                "linktext": linktext.take(sel),
+                "referer": _col(t, "referer", n).take(sel),
+                "depth": t.column("depth").take(sel).cast(pa.int32()),
+                "priority": pa.array([self._priority(u) if u else 0 for u in urls], pa.int32()).take(ix),
+                "is_redirect": _col(t, "is_redirect", n, pa.bool_(), False).take(sel),
+                "parent_seq": _col(t, "parent_seq", n, pa.int64(), -1).take(sel),
+                "link_idx": _col(t, "link_idx", n, pa.int64(), 0).take(sel),
             }
         )
-        return out.filter(pa.array(keep))
 
     def _follow_ok(self, url: str, host: str, domain: str, path: str) -> bool:
         s = self.spec
@@ -288,6 +291,15 @@ def _col(t: pa.Table, name: str, n: int, typ=pa.string(), default=""):
         c = t.column(name)
         return c.cast(typ) if c.type != typ else c
     return pa.array([default] * n, typ)
+
+
+def _np_col(t: pa.Table, name: str, n: int, default, dtype) -> np.ndarray:
+    """Column ``name`` as a numpy array with nulls (or a missing column)
+    read as ``default``."""
+    if name not in t.column_names:
+        return np.full(n, default, dtype=dtype)
+    c = pc.fill_null(t.column(name), default)
+    return np.asarray(c.to_numpy(zero_copy_only=False), dtype=dtype)
 
 
 def _empty_candidates() -> pa.Table:

@@ -70,8 +70,12 @@ class SeenShard:
 
     def gate_parts(self, *parts: dict):
         """Each part: {"md5": [...], "hi": u64, "lo": u64, "seq": i64,
-        "idx": i64, "row": i64} — one candidate block's keys for this shard
-        (pre-partitioned inside the filter task)."""
+        "idx": i64, "row": i64, "dups": int} — one candidate block's keys
+        for this shard (pre-partitioned inside the filter task).  A filter
+        task may already have cut a block to one row per key (its min
+        (seq, idx), which is all this min needs); ``dups`` is the number of
+        rows it cut for this part's keys, added to the probed count so the
+        count is the same as if every row had been sent."""
         B = len(parts)
         sizes = [len(p["md5"]) for p in parts]
         total = int(sum(sizes))
@@ -114,7 +118,8 @@ class SeenShard:
             counts[b] = rows_b.size
             out.append(rows_b)
             off += sizes[b]
-        return (np.stack([counts, np.asarray(sizes, dtype=np.int64)]), *out)
+        probed = np.asarray(sizes, dtype=np.int64) + [p["dups"] for p in parts]
+        return (np.stack([counts, probed]), *out)
 
     def stats(self) -> dict:
         return {

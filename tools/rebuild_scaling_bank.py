@@ -1,10 +1,13 @@
-"""Rebuild SCALING_r05.json from one or more hunt JSONLs (final-engine bank).
+"""Summarize one or more scaling hunt JSONLs into a scaling bank JSON.
 
 Collects every streamed ``{"pair": ...}`` record, re-grades nothing (each
 pair carries the gate verdict computed live by the bench protocol that ran
-it), and summarizes with bench.summarize_pairs — so the committed artifact
-is exactly the median-of-at-grade-quiet-pairs rule over the recorded bank,
-plus the full pair list for audit.
+it), and summarizes with bench.summarize_pairs — the
+median-of-at-grade-quiet-pairs rule over the recorded bank, plus the graded
+and all-pair efficiency lists for audit.  The committed SCALING_r05.json is
+not this script's output: it holds round notes, the protocol and a
+mechanism experiment, and none of the ``sources``/``graded_effs``/
+``all_effs`` fields written here.
 
 Usage: python tools/rebuild_scaling_bank.py OUT.json hunt1.jsonl [hunt2.jsonl ...]
 """
