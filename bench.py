@@ -6,8 +6,9 @@ depth 4 (~390k URLs, the graded protocol; ``--shallow`` for the depth-3
 fixture).
 
 Env: GRAFT_SF_DIR (default /root/testdata/sf0.1), RAY_GRAFT_CPUS (default 32),
-LCRAY_SEEN_MODE (default "both"; "cuckoo" runs the URL-seen gate on the
-approximate filters alone — the only mode a 10^10-key frontier can afford).
+LCRAY_SEEN_MODE (default: the CrawlSpec default, "exact"; "cuckoo" runs the
+URL-seen gate on the approximate filters — the only mode a 10^10-key frontier
+can afford).
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def bench_crawl(ncpu: int) -> dict:
     seeds = pq.read_table(paths["seeds"])
     job_dir = f"/dev/shm/lcray_bench_job_{ncpu}"  # tmpfs: the sandbox stand-in for a distributed store (local virtio disk is 78 MB/s and would floor every level)
     shutil.rmtree(job_dir, ignore_errors=True)
-    seen_mode = os.environ.get("LCRAY_SEEN_MODE", "both")
+    seen_mode = os.environ.get("LCRAY_SEEN_MODE", CrawlSpec.seen_mode)
     # LCRAY_BENCH_DEPTH=4 runs the SAME job one BFS level deeper (~390k of
     # the 400k pages instead of ~82k): the giant middle rounds then dominate
     # and the fixed head/tail cost that drags whole-job scaling at depth 3

@@ -70,7 +70,7 @@ from ..functions.benchtimer import Benchmark
 from ..stages.fetch import OUT_SCHEMA, SyntheticFetchExtract, load_fixture_tables
 from ..stages.frontier import CandidateFilter, CrawlSpec, _empty_candidates
 from ..stages.politeness import HostClock, SchedulePool, split_sched_parts
-from ..state.seenset import SeenSet
+from ..state.seenset import SeenSet, key_parts, md5hex_to_u64_pairs
 from .. import storage
 
 _LINK_COLS = ["url", "link_raw", "linktext", "referer", "depth", "is_redirect",
@@ -1077,8 +1077,8 @@ def _filter_and_split(spec: CrawlSpec, robots: dict, k: int, content_seq: int,
         filt.robots_lookup = _lookup
     out = filt(t, content_seq=content_seq)
     # within-block dedup: one row per key — its min (parent_seq, link_idx),
-    # so the result is independent of block order — and the key's hex → u64
-    # split once; the shard finishes the min across blocks
+    # so the result is independent of block order — and each distinct key's
+    # hex → (hi, lo) decode once; the shard finishes the min across blocks
     enc = out.column("url_md5").combine_chunks().dictionary_encode()
     code = enc.indices.to_numpy(zero_copy_only=False)
     seq = np.asarray(out.column("parent_seq").to_numpy(zero_copy_only=False), dtype=np.int64)
@@ -1087,11 +1087,11 @@ def _filter_and_split(spec: CrawlSpec, robots: dict, k: int, content_seq: int,
     first = np.ones(order.size, dtype=bool)
     first[1:] = code[order[1:]] != code[order[:-1]]
     win = np.sort(order[first])
-    md5s = enc.dictionary.to_pylist()
+    hi, lo = md5hex_to_u64_pairs(enc.dictionary.to_pylist())
     wcode = code[win]
-    dups = np.bincount(code, minlength=len(md5s))[wcode] - 1
-    parts = _key_parts([md5s[c] for c in wcode], seq[win], idx[win],
-                       np.arange(win.size, dtype=np.int64), k, dups)
+    dups = np.bincount(code, minlength=hi.size)[wcode] - 1
+    parts = key_parts(hi[wcode], lo[wcode], seq[win], idx[win],
+                      np.arange(win.size, dtype=np.int64), k, dups)
     return (out.take(pa.array(win)), *parts)
 
 
@@ -1211,26 +1211,6 @@ def _split_sink(out: pa.Table, links_dir: str, part: int, kc: int):
             *_content_key_parts(att_meta, "doc_id", kc))
 
 
-def _key_parts(md5s: list[str], seq: np.ndarray, idx: np.ndarray, row: np.ndarray,
-               k: int, dups: np.ndarray | None = None) -> list[dict]:
-    """Split keyed rows into k ``SeenShard.gate_parts`` parts: md5-hex key,
-    its (hi, lo) u64 split, the (seq, idx) winner order, the block row and,
-    per part, ``dups`` — the sum of the optional per-row count of duplicate
-    rows already dropped for that key.  Same key→shard mapping as
-    ``seenset.shard_of``: low 32 md5 bits mod k."""
-    from ..state.cuckoo import md5hex_to_u64_pairs
-
-    hi, lo = md5hex_to_u64_pairs(md5s)
-    sh = ((lo & np.uint64(0xFFFFFFFF)) % np.uint64(k)).astype(np.int64)
-    parts = []
-    for s in range(k):
-        r = np.nonzero(sh == s)[0]
-        parts.append({"md5": [md5s[i] for i in r], "hi": hi[r], "lo": lo[r],
-                      "seq": seq[r], "idx": idx[r], "row": row[r],
-                      "dups": int(dups[r].sum()) if dups is not None else 0})
-    return parts
-
-
 def _content_key_parts(meta: pa.Table, key_col: str, k: int) -> list[dict]:
     """Per-content-shard ``gate_parts`` inputs from a meta block: the key
     column, enqueue_seq as the winner order, block row index."""
@@ -1238,7 +1218,7 @@ def _content_key_parts(meta: pa.Table, key_col: str, k: int) -> list[dict]:
         meta.column("enqueue_seq").to_numpy(zero_copy_only=False), dtype=np.int64
     )
     rows = np.arange(meta.num_rows, dtype=np.int64)
-    return _key_parts(meta.column(key_col).to_pylist(), seqs, rows, rows, k)
+    return key_parts(*md5hex_to_u64_pairs(meta.column(key_col).to_pylist()), seqs, rows, rows, k)
 
 
 def _merge_winner_rows(winners) -> np.ndarray:
@@ -1263,7 +1243,7 @@ def _doc_stage2(doc_meta: pa.Table, kc: int, *winners):
     has = np.fromiter((o != "" for o in ori), dtype=bool, count=len(ori))
     widx = np.nonzero(has)[0]
     keys = [hashlib.md5(("no:" + ori[i]).encode()).hexdigest() for i in widx]
-    parts = _key_parts(keys, seqs[widx], rows[widx], rows[widx], kc)
+    parts = key_parts(*md5hex_to_u64_pairs(keys), seqs[widx], rows[widx], rows[widx], kc)
     surv = {
         "row": rows, "seq": seqs, "has_ori": has,
         "sim": np.asarray(t.column("simhash").to_numpy(zero_copy_only=False), dtype=np.int64),

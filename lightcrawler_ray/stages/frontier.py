@@ -111,7 +111,7 @@ class CrawlSpec:
     seed_paths: tuple[str, ...] = ()
     seen_shards: int = 4
     seen_capacity: int = 1 << 20
-    seen_mode: str = "both"                  # exact | cuckoo | both
+    seen_mode: str = "exact"                 # exact 128-bit keys | cuckoo (10^10-key memory mode)
     politeness_shards: int = 4               # hash(host) partitions of the T7 ledger
     doc_near_dup_hamming: int = 3            # J3 simhash gate threshold; -1 disables
     fetch_concurrency: int = 4

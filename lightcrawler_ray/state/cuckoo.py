@@ -49,33 +49,6 @@ def item_hashes(keys: list[str] | np.ndarray) -> np.ndarray:
     return out
 
 
-def hashes_from_md5hex(md5s: list[str] | np.ndarray) -> np.ndarray:
-    """64-bit item hashes straight from already-computed url_md5 hex strings —
-    avoids re-hashing the URL in the hot path.  Vectorized: one C-level hex
-    decode of the joined strings, then a big-endian uint64 view (equal to
-    ``int(h[:16], 16)`` per item)."""
-    return md5hex_to_u64_pairs(md5s)[0]
-
-
-def md5hex_to_u64_pairs(md5s: list[str] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) uint64 pairs for md5 hex strings — the full 128-bit identity
-    split for exact vectorized key comparisons (no truncation)."""
-    n = len(md5s)
-    if n == 0:
-        z = np.zeros(0, dtype=np.uint64)
-        return z, z
-    joined = "".join(md5s)
-    if len(joined) != 32 * n:  # defensive: malformed/empty keys → slow path
-        hi = np.empty(n, dtype=np.uint64)
-        lo = np.empty(n, dtype=np.uint64)
-        for i, h in enumerate(md5s):
-            hi[i] = int(h[:16], 16) if len(h) == 32 else 0
-            lo[i] = int(h[16:], 16) if len(h) == 32 else 0
-        return hi, lo
-    a = np.frombuffer(bytes.fromhex(joined), dtype=">u8").reshape(-1, 2)
-    return np.ascontiguousarray(a[:, 0]).astype(np.uint64), np.ascontiguousarray(a[:, 1]).astype(np.uint64)
-
-
 class CuckooFilter:
     def __init__(self, capacity: int, bucket_size: int = 4, max_kicks: int = 500, seed: int = 42):
         n_buckets = 1

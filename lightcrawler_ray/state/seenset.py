@@ -1,13 +1,14 @@
-"""Sharded URL-seen set — an actor pool holding cuckoo-filter shards.
+"""Sharded URL-seen set — an actor pool holding 128-bit key tables.
 
 Reference semantics: the frontier's UNIQUE ``distinct_hash`` makes enqueue
 idempotent (T1/D1, PHPCrawlerSQLiteURLCache.class.php:107-138 `INSERT OR
-IGNORE`).  Here that is K shard actors, shard = ``hash(url_md5) % K`` —
-each shard holds a cuckoo filter (approximate, 10^10-scale steady state)
-and optionally an exact md5 set (byte-for-byte parity mode for tests and
-small crawls).  Shards serialize their own mutations (the actor mailbox is
-the lock), so no cross-actor coordination is needed — the shard IS the
-claim unit, replacing the reference's table-wide `LOCK TABLE urls WRITE`
+IGNORE`).  Here that is K shard actors, shard = low 32 md5 bits mod K; each
+key is an md5 digest carried as its (hi, lo) uint64 pair.  A shard holds
+either an exact ``KeyTable`` (16 B/key, byte-for-byte parity) or, in the
+10^10-key memory mode, an approximate ``CuckooChain`` probed with ``hi``.
+Shards serialize their own mutations (the actor mailbox is the lock), so no
+cross-actor coordination is needed — the shard IS the claim unit, replacing
+the reference's table-wide `LOCK TABLE urls WRITE`
 (PHPCrawlerMySqlUrlCache.class.php:124,174).
 
 Determinism contract (SURVEY.md §2.9): the per-round ``gate_parts`` call
@@ -25,38 +26,99 @@ from __future__ import annotations
 import numpy as np
 import ray
 
-from .cuckoo import CuckooChain, hashes_from_md5hex, md5hex_to_u64_pairs
+from .cuckoo import CuckooChain
+
+_NO_KEYS = np.zeros(0, dtype=np.uint64)
+
+
+def md5hex_to_u64_pairs(md5s: list[str] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) uint64 pairs for md5 hex strings — the full 128-bit identity.
+    Raises ValueError on a key that is not 32 hex characters, so two
+    malformed keys can never share an identity."""
+    if (np.fromiter(map(len, md5s), dtype=np.int64, count=len(md5s)) != 32).any():
+        raise ValueError("seen-set keys must be 32-character md5 hex digests")
+    a = np.frombuffer(bytes.fromhex("".join(md5s)), dtype=">u8").reshape(-1, 2)
+    return a[:, 0].astype(np.uint64), a[:, 1].astype(np.uint64)
+
+
+def _shard(lo: np.ndarray, k: int) -> np.ndarray:
+    return ((lo & np.uint64(0xFFFFFFFF)) % np.uint64(k)).astype(np.int64)
+
+
+def shard_of(md5s: list[str] | np.ndarray, k: int) -> np.ndarray:
+    """Shard index per key — low 32 bits of the md5 (``lo``), mod K
+    (independent of the cuckoo's own bucket hash which uses ``hi``)."""
+    return _shard(md5hex_to_u64_pairs(md5s)[1], k)
+
+
+def key_parts(hi: np.ndarray, lo: np.ndarray, seq: np.ndarray, idx: np.ndarray,
+              row: np.ndarray, k: int, dups: np.ndarray | None = None) -> list[dict]:
+    """Split keyed rows into k ``SeenShard.gate_parts`` parts (shard s gets
+    the keys ``shard_of`` maps to s): the (hi, lo) key, the (seq, idx) winner
+    order, the block row and, per part, ``dups`` — the sum of the optional
+    per-row count of duplicate rows already dropped for that key."""
+    sh = _shard(lo, k)
+    parts = []
+    for s in range(k):
+        r = np.nonzero(sh == s)[0]
+        parts.append({"hi": hi[r], "lo": lo[r], "seq": seq[r], "idx": idx[r], "row": row[r],
+                      "dups": int(dups[r].sum()) if dups is not None else 0})
+    return parts
+
+
+class KeyTable:
+    """Exact set of 128-bit keys: two uint64 arrays ``hi``/``lo`` sorted in
+    lexicographic (hi, lo) order.  A probe is a ``searchsorted`` on ``hi``
+    and a ``lo`` compare; the rare ``hi`` shared by several keys is resolved
+    over its run of ``lo``."""
+
+    def __init__(self, hi: np.ndarray = _NO_KEYS, lo: np.ndarray = _NO_KEYS):
+        self.hi, self.lo = hi, lo
+
+    def locate(self, hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(insert position in (hi, lo) order, member mask) per query key."""
+        pos = np.searchsorted(self.hi, hi, "left")  # start of each key's hi run
+        right = np.searchsorted(self.hi, hi, "right")
+        one = np.nonzero(right - pos == 1)[0]
+        pos[one] += self.lo[pos[one]] < lo[one]
+        for i in np.nonzero(right - pos > 1)[0]:
+            pos[i] += np.searchsorted(self.lo[pos[i]:right[i]], lo[i])
+        found = pos < right
+        found[found] = self.lo[pos[found]] == lo[found]
+        return pos, found
+
+    def insert(self, hi: np.ndarray, lo: np.ndarray, pos: np.ndarray) -> None:
+        """Merge non-member keys, given in (hi, lo) order, at their
+        ``locate`` positions."""
+        self.hi = np.insert(self.hi, pos, hi)
+        self.lo = np.insert(self.lo, pos, lo)
+
+    def members(self) -> list[str]:
+        """Sorted lowercase md5 hex of every key."""
+        a = np.empty((self.hi.size, 2), dtype=">u8")
+        a[:, 0], a[:, 1] = self.hi, self.lo
+        h = a.tobytes().hex()
+        return [h[i:i + 32] for i in range(0, len(h), 32)]
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("exact", "cuckoo"):
+        raise ValueError(f"seen_mode must be 'exact' or 'cuckoo', got {mode!r}")
 
 
 @ray.remote(num_cpus=0)
 class SeenShard:
-    """One shard. mode: 'exact' | 'cuckoo' | 'both' (both = cuckoo answers,
-    exact audits — used by the membership-parity tests)."""
+    """One shard: a ``KeyTable`` (mode 'exact') or a ``CuckooChain`` (mode
+    'cuckoo'), answered and updated by ``gate_parts``."""
 
-    def __init__(self, shard_id: int, capacity: int = 1 << 20, mode: str = "both"):
+    def __init__(self, shard_id: int, capacity: int = 1 << 20, mode: str = "exact"):
+        _check_mode(mode)
         self.shard_id = shard_id
         self.mode = mode
+        self.table = KeyTable() if mode == "exact" else None
         # CuckooChain: grows by chaining bigger filters when a link fills
         # (the shard-full path — no mid-crawl failure at 10^10 keys)
-        self.cuckoo = CuckooChain(capacity) if mode != "exact" else None
-        self.exact: set[str] | None = set() if mode != "cuckoo" else None
-
-    def check_and_add(self, md5s: list[str]) -> np.ndarray:
-        """Bool mask: True = first sighting (now marked seen). Each key must
-        appear at most once in a call (caller dedups within the round)."""
-        if not md5s:
-            return np.zeros(0, dtype=bool)
-        if self.exact is not None:
-            new = np.fromiter((m not in self.exact for m in md5s), dtype=bool, count=len(md5s))
-            self.exact.update(md5s)
-            if self.cuckoo is not None:
-                h = hashes_from_md5hex(md5s)
-                self.cuckoo.add_hashes(h[new & ~self.cuckoo.contains_hashes(h)])
-            return new
-        h = hashes_from_md5hex(md5s)
-        new = ~self.cuckoo.contains_hashes(h)
-        self.cuckoo.add_hashes(h[new])
-        return new
+        self.cuckoo = CuckooChain(capacity) if mode == "cuckoo" else None
 
     # -- fused within-round dedup + cross-round gate -------------------------
     # Replaces a whole groupby shuffle: the driver sends ALL of a round's key
@@ -69,48 +131,37 @@ class SeenShard:
     # worker-to-worker by ref; counts is (2, parts): winners, probed rows.
 
     def gate_parts(self, *parts: dict):
-        """Each part: {"md5": [...], "hi": u64, "lo": u64, "seq": i64,
-        "idx": i64, "row": i64, "dups": int} — one candidate block's keys
-        for this shard (pre-partitioned inside the filter task).  A filter
-        task may already have cut a block to one row per key (its min
-        (seq, idx), which is all this min needs); ``dups`` is the number of
-        rows it cut for this part's keys, added to the probed count so the
-        count is the same as if every row had been sent."""
+        """Each part: {"hi": u64, "lo": u64, "seq": i64, "idx": i64,
+        "row": i64, "dups": int} — one candidate block's keys for this shard
+        (built by ``key_parts``).  A filter task may already have cut a block
+        to one row per key (its min (seq, idx), which is all this min needs);
+        ``dups`` is the number of rows it cut for this part's keys, added to
+        the probed count so the count is the same as if every row had been
+        sent."""
         B = len(parts)
-        sizes = [len(p["md5"]) for p in parts]
-        total = int(sum(sizes))
-        empty = tuple(np.zeros(0, dtype=np.int64) for _ in range(B))
-        if total == 0:
-            return (np.zeros((2, B), dtype=np.int64), *empty)
-        md5_all: list[str] = []
-        for p in parts:
-            md5_all.extend(p["md5"])
+        sizes = [len(p["hi"]) for p in parts]
         hi = np.concatenate([np.asarray(p["hi"], dtype=np.uint64) for p in parts])
         lo = np.concatenate([np.asarray(p["lo"], dtype=np.uint64) for p in parts])
         seq = np.concatenate([np.asarray(p["seq"], dtype=np.int64) for p in parts])
         idx = np.concatenate([np.asarray(p["idx"], dtype=np.int64) for p in parts])
-        if self.exact is not None:
-            contains = self.exact.__contains__
-            seen = np.fromiter(map(contains, md5_all), dtype=bool, count=total)
+        # min (seq, idx) row per exact 128-bit key: stable lexsort then
+        # first-occurrence mask — fully vectorized.  The keys come out in
+        # (hi, lo) order, so the table probe searches sorted queries (several
+        # times faster than random ones) and the winners merge in as they are
+        order = np.lexsort((idx, seq, lo, hi))
+        h_s, l_s = hi[order], lo[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (h_s[1:] != h_s[:-1]) | (l_s[1:] != l_s[:-1])
+        keys = order[first]
+        if self.table is not None:
+            pos, seen = self.table.locate(hi[keys], lo[keys])
+            w = keys[~seen]
+            self.table.insert(hi[w], lo[w], pos[~seen])
         else:
-            seen = self.cuckoo.contains_hashes(hi)
-        u = np.nonzero(~seen)[0]
-        win_mask = np.zeros(total, dtype=bool)
-        if u.size:
-            # min (seq, idx) per exact 128-bit key: stable lexsort then
-            # first-occurrence mask — fully vectorized
-            order = np.lexsort((idx[u], seq[u], lo[u], hi[u]))
-            us = u[order]
-            h_s, l_s = hi[us], lo[us]
-            first = np.ones(us.size, dtype=bool)
-            first[1:] = (h_s[1:] != h_s[:-1]) | (l_s[1:] != l_s[:-1])
-            w = us[first]
-            win_mask[w] = True
-            if self.exact is not None:
-                self.exact.update(md5_all[i] for i in w)
-            if self.cuckoo is not None:
-                wh = hi[w]
-                self.cuckoo.add_hashes(wh[~self.cuckoo.contains_hashes(wh)])
+            w = keys[~self.cuckoo.contains_hashes(hi[keys])]
+            self.cuckoo.add_hashes(hi[w])
+        win_mask = np.zeros(hi.size, dtype=bool)
+        win_mask[w] = True
         out, counts = [], np.zeros(B, dtype=np.int64)
         off = 0
         for b in range(B):
@@ -124,8 +175,7 @@ class SeenShard:
     def stats(self) -> dict:
         return {
             "shard": self.shard_id,
-            "exact_count": len(self.exact) if self.exact is not None else -1,
-            "cuckoo_count": self.cuckoo.count if self.cuckoo else -1,
+            "count": self.table.hi.size if self.table is not None else self.cuckoo.count,
             "load_factor": self.cuckoo.load_factor if self.cuckoo else 0.0,
         }
 
@@ -134,27 +184,19 @@ class SeenShard:
             "shard_id": self.shard_id,
             "mode": self.mode,
             "cuckoo": self.cuckoo.snapshot() if self.cuckoo else None,
-            "exact": sorted(self.exact) if self.exact is not None else None,
+            "table": (self.table.hi, self.table.lo) if self.table is not None else None,
         }
 
     def restore(self, snap: dict) -> None:
         self.mode = snap["mode"]
         self.cuckoo = CuckooChain.restore(snap["cuckoo"]) if snap["cuckoo"] else None
-        self.exact = set(snap["exact"]) if snap["exact"] is not None else None
+        self.table = KeyTable(*snap["table"]) if snap["table"] is not None else None
 
     def dump_members(self) -> list[str]:
         """Exact membership (parity tests only — not a scale path)."""
-        if self.exact is None:
+        if self.table is None:
             raise RuntimeError("cuckoo-only shard has no exact membership")
-        return sorted(self.exact)
-
-
-def shard_of(md5s: list[str] | np.ndarray, k: int) -> np.ndarray:
-    """Shard index per key — low 8 hex chars of the md5, mod K (independent of
-    the cuckoo's own bucket hash which uses the top bits).  Vectorized via the
-    (hi, lo) uint64 view: ``int(m[24:32], 16) == lo & 0xFFFFFFFF``."""
-    _, lo = md5hex_to_u64_pairs(md5s)
-    return ((lo & np.uint64(0xFFFFFFFF)) % np.uint64(k)).astype(np.int64)
+        return self.table.members()
 
 
 class SeenSet:
@@ -165,7 +207,8 @@ class SeenSet:
     map stages (a 4-CPU test cluster deadlocks).  On a real cluster, shard
     placement follows object-store memory, not CPU."""
 
-    def __init__(self, k: int = 4, capacity_per_shard: int = 1 << 20, mode: str = "both"):
+    def __init__(self, k: int = 4, capacity_per_shard: int = 1 << 20, mode: str = "exact"):
+        _check_mode(mode)
         self.k = k
         self.mode = mode
         self.shards = [
@@ -173,20 +216,16 @@ class SeenSet:
         ]
 
     def check_and_add(self, md5s: list[str]) -> np.ndarray:
-        """Scatter to shards, gather the first-sighting mask in input order."""
-        n = len(md5s)
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        sh = shard_of(md5s, self.k)
-        mask = np.zeros(n, dtype=bool)
-        futures, index_lists = [], []
-        for s in range(self.k):
-            idx = np.nonzero(sh == s)[0]
-            if idx.size:
-                futures.append(self.shards[s].check_and_add.remote([md5s[i] for i in idx]))
-                index_lists.append(idx)
-        for idx, res in zip(index_lists, ray.get(futures)):
-            mask[idx] = res
+        """First-sighting mask in input order (True = new, now marked seen;
+        a key repeated within the call is new only at its first position) —
+        one ``gate_parts`` part per shard."""
+        mask = np.zeros(len(md5s), dtype=bool)
+        pos = np.arange(len(md5s), dtype=np.int64)
+        parts = key_parts(*md5hex_to_u64_pairs(md5s), pos, pos, pos, self.k)
+        refs = [self.shards[s].gate_parts.options(num_returns=2).remote(p)[1]
+                for s, p in enumerate(parts) if p["hi"].size]
+        for rows in ray.get(refs):
+            mask[rows] = True
         return mask
 
     def members(self) -> list[str]:

@@ -241,14 +241,14 @@ def test_filter_matches_reference_in_lazy_robots_mode():
     assert calls[0] == calls[1] and len(calls) == 2
 
 
-def _gate(k: int, parts_by_block: list[list[dict]]):
+def _gate(k: int, parts_by_block: list[list[dict]], mode: str):
     """Fresh seen shards; each answers every block's part in one call.
     Returns the (winners, probed) totals and each block's winner rows."""
     import ray
 
     from lightcrawler_ray.state.seenset import SeenShard
 
-    shards = [SeenShard.remote(s, 1 << 12, "both") for s in range(k)]
+    shards = [SeenShard.remote(s, 1 << 12, mode) for s in range(k)]
     try:
         B = len(parts_by_block)
         rets = [ray.get(shards[s].gate_parts.options(num_returns=1 + B).remote(
@@ -273,8 +273,10 @@ def _winners(blocks, rows) -> set:
     return out
 
 
-def test_filter_and_split_dedup_is_block_order_free(crawled):
+@pytest.mark.parametrize("mode", ["exact", "cuckoo"])
+def test_filter_and_split_dedup_is_block_order_free(crawled, mode):
     from lightcrawler_ray.pipelines.crawl import _filter_and_split
+    from lightcrawler_ray.state.seenset import md5hex_to_u64_pairs
 
     spec, robots, rounds = crawled
     k = 3
@@ -304,11 +306,12 @@ def test_filter_and_split_dedup_is_block_order_free(crawled):
             # one row per key left in the block, keys in the parts match it
             md5 = blk.column("url_md5").to_pylist()
             assert len(set(md5)) == len(md5)
-            assert sum(len(p["md5"]) for p in ps) == blk.num_rows
-            assert sorted(m for p in ps for m in p["md5"]) == sorted(md5)
+            assert sum(len(p["hi"]) for p in ps) == blk.num_rows
+            assert sorted((int(h), int(lo)) for p in ps for h, lo in zip(p["hi"], p["lo"])) \
+                == sorted(zip(*(a.tolist() for a in md5hex_to_u64_pairs(md5))))
         assert sum(blk.num_rows + sum(p["dups"] for p in ps)
                    for blk, ps in zip(blocks, parts)) == kept.num_rows
-        counts, rows = _gate(k, parts)
+        counts, rows = _gate(k, parts, mode)
         results[name] = (tuple(int(c) for c in counts), _winners(blocks, rows))
     first = results["one"]
     assert first[0][1] == kept.num_rows  # probed counts every kept row
