@@ -15,7 +15,7 @@ Each round (epoch):
                     (no sort: blocks arrive        link blocks are emitted in rank
                     in rank order by                order, so ranking is offset
                     construction)                  arithmetic; budget cap A2 likewise
-                  ─ politeness shard pool        per-host crawl-delay schedule (T7),
+                  ─ politeness partitions        per-host crawl-delay schedule (T7),
                     (hash(host) partitions)        ledger walk off the driver
                   ─ persistent fetch pool        fused fetch+extract — bodies never
                     (plasma-shared page store)     leave the worker
@@ -25,6 +25,15 @@ Each round (epoch):
                     sim band shards + deferred     gate — sharded like the URL-seen
                     finalize writes                set; keep-rows travel by ref and
                                                    writes overlap the next round
+
+State: partition i of the URL-seen table, the content-seen table, the
+politeness ledger and the sim-band index share one ``num_cpus=0`` state
+actor (``state/pool.py``): n = max(seen_shards, politeness_shards, N_BANDS)
+actors per crawl, beside the fetch workers.  Each actor is single-threaded
+with one FIFO mailbox, so every kind's snapshot still queues after that
+kind's own updates (epoch-exact); on the block-graph path the next round's
+seen gate queues behind the previous round's content chain on the same
+actor.
 
 Adaptive execution: a BFS crawl has a characteristic frontier profile — a few
 huge middle rounds flanked by tiny head/tail rounds (seed fan-out, redirect
@@ -70,7 +79,9 @@ from ..functions.benchtimer import Benchmark
 from ..stages.fetch import OUT_SCHEMA, SyntheticFetchExtract, load_fixture_tables
 from ..stages.frontier import CandidateFilter, CrawlSpec, _empty_candidates
 from ..stages.politeness import HostClock, SchedulePool, split_sched_parts
+from ..state.pool import StatePool
 from ..state.seenset import SeenSet, key_parts, md5hex_to_u64_pairs
+from ..state.simindex import N_BANDS, SimIndex
 from .. import storage
 
 _LINK_COLS = ["url", "link_raw", "linktext", "referer", "depth", "is_redirect",
@@ -118,8 +129,15 @@ class CrawlJob:
         self.bench = Benchmark()
         self._mark_t = 0.0
         os.makedirs(job_dir, exist_ok=True)
-        self.seen = SeenSet(spec.seen_shards, spec.seen_capacity, spec.seen_mode)
-        self.content_seen = SeenSet(spec.seen_shards, spec.seen_capacity, "exact")
+        # one state actor per partition: partition i of the URL-seen table,
+        # the content-seen table, the politeness ledger and the sim-band
+        # index all live on actor i % n (started first so the processes
+        # spawn while the fixture tables load)
+        self.state = StatePool(max(spec.seen_shards, spec.politeness_shards, N_BANDS))
+        self.seen = SeenSet(spec.seen_shards, spec.seen_capacity, spec.seen_mode,
+                            self.state, "url")
+        self.content_seen = SeenSet(spec.seen_shards, spec.seen_capacity, "exact",
+                                    self.state, "content")
         self.next_seq = 0
         self.fetched = 0
         self.bytes_total = 0
@@ -161,7 +179,7 @@ class CrawlJob:
             self.robots = load_robots(robots_path)
         self.robots_ref = ray.put(self.robots)
         # per-host politeness ledger (T7 upgraded: per-host, not global),
-        # hash(host)-partitioned over a shard pool so no round's (host, seq)
+        # hash(host)-partitioned over the state actors so no round's (host, seq)
         # rows ever gather on the driver; the driver-side HostClock is kept
         # for delay audits only (assert_polite), not ledger state
         self.host_clock = HostClock(spec.request_delay_ms, self.robots)
@@ -169,12 +187,10 @@ class CrawlJob:
         self.sched = SchedulePool(
             spec.politeness_shards, spec.request_delay_ms, self.robots,
             fetch_ctx=(self.pages_ref, self.images_ref, self._fetch_kwargs()) if lazy else None,
-            robots_ttl_s=spec.robots_ttl_s,
+            robots_ttl_s=spec.robots_ttl_s, pool=self.state,
         )
-        self._lazy_robots_handles = tuple(self.sched.shards) if lazy else ()
-        from ..state.simindex import SimIndex
-
-        self.docsim = SimIndex()
+        self._lazy_robots = self.sched if lazy else None
+        self.docsim = SimIndex(self.state)
         from ..stages.fetchpool import FetchPool
 
         self.fetch_pool = FetchPool(
@@ -182,17 +198,11 @@ class CrawlJob:
         )
         # pre-spawn the task workers the round tasks will run on, so the
         # first distributed round doesn't pay worker startup latency; ditto
-        # the state shard actors (seen/content/schedule/sim) — a crawl
-        # service initializes its pools at deploy time, not inside round 0
+        # the state actors, each with its partitions built and its one-time
+        # imports paid — a crawl service initializes its pools at deploy
+        # time, not inside round 0
         n_task_cpus = max(1, int(ray.cluster_resources().get("CPU", 8)) - spec.fetch_concurrency)
-        shard_actors = (
-            list(self.seen.shards) + list(self.content_seen.shards)
-            + list(self.sched.shards) + list(self.docsim.shards)
-        )
-        ray.get(
-            [_noop.remote() for _ in range(n_task_cpus)]
-            + [a.__ray_ready__.remote() for a in shard_actors]
-        )
+        ray.get([_noop.remote() for _ in range(n_task_cpus)] + self.state.ready())
         # ... and the round-path task FUNCTIONS: the first execution of each
         # remote function pays a one-time registration/deserialization cost
         # (measured 0.43 s for _filter_extract at 32 CPUs vs 0.015 s warm)
@@ -419,7 +429,7 @@ class CrawlJob:
             else:
                 candidates = [candidates]
             out = _filter_and_split(spec, self.robots, k, self._content_seq,
-                                    self._lazy_robots_handles,
+                                    self._lazy_robots,
                                     *(candidates or [_empty_links_table()]))
             blocks, keymat, in_process = [out[0]], [out[1:]], True
         else:
@@ -429,7 +439,7 @@ class CrawlJob:
             for grp in _coalesce_groups(candidates, n_hint):
                 rets = _filter_extract.options(num_returns=1 + k).remote(
                     spec, self.robots_ref, k, self._content_seq,
-                    self._lazy_robots_handles, *grp
+                    self._lazy_robots, *grp
                 )
                 blocks.append(rets[0])
                 keymat.append(rets[1:])
@@ -439,15 +449,9 @@ class CrawlJob:
         # each seen shard answers the whole round in ONE gate_parts call,
         # returning only per-block counts to the driver while the winner row
         # arrays stay in the object store
-        counts_refs = []
-        winner_mat: list[list] = [[None] * k for _ in range(B)]
-        for s in range(k):
-            rets = self.seen.shards[s].gate_parts.options(num_returns=1 + B).remote(
-                *[keymat[b][s] for b in range(B)]
-            )
-            counts_refs.append(rets[0])
-            for b in range(B):
-                winner_mat[b][s] = rets[1 + b]
+        counts_refs, wins = self.seen.gate_round([[keymat[b][s] for b in range(B)]
+                                                  for s in range(k)])
+        winner_mat = [[wins[s][b] for s in range(k)] for b in range(B)]
         self._mark("launch_filter+gate")
         counts, probed = np.stack(ray.get(counts_refs)).sum(axis=0)
         self._mark("gate_counts")
@@ -503,8 +507,8 @@ class CrawlJob:
             front.column("host").to_pylist(), front.column("enqueue_seq").to_numpy(),
             front.column("priority").to_numpy(), self.sched.p,
         )
-        ray.get(self.sched.schedule_round(sched_dir, bool(spec.priority_rules), [parts]))
-        storage.mark_complete(sched_dir)
+        # the ledger walk overlaps the fetch; gathered before the done marker
+        sched_futs = self.sched.schedule_round(sched_dir, bool(spec.priority_rules), [parts])
 
         frontier_cols = front.select(["url", "url_md5", "host", "depth", "priority",
                                       "enqueue_seq", "referer", "linktext"])
@@ -560,6 +564,8 @@ class CrawlJob:
         self.bytes_total += int(metrics.column("bytes_received")[0].as_py())
         storage.commit_table(metrics, os.path.join(ed, "metrics"))
         self._drain_pending()
+        ray.get(sched_futs)
+        storage.mark_complete(sched_dir)
         self._finish_epoch(ed, links, rows=n_frontier)
         return n_frontier, links, links.num_rows
 
@@ -576,7 +582,7 @@ class CrawlJob:
         arithmetic, no sort.  ``blocks`` are the filtered blocks and
         ``winner_mat[b][s]`` seen shard s's winner rows of block b, still in
         the object store.  Rank tasks write frontier parts AND emit
-        hash(host) schedule parts consumed by the politeness shard pool (no
+        hash(host) schedule parts consumed by the politeness partitions (no
         per-row host/seq data on the driver, ever).  Fetch runs on the
         persistent worker pool; sink writes and the schedule futures drain
         during the next round."""
@@ -704,7 +710,7 @@ class CrawlJob:
             split_refs[i] = rets
             if speculate_next:
                 f = _filter_extract.options(num_returns=1 + k).remote(
-                    spec, self.robots_ref, k, -1, self._lazy_robots_handles,
+                    spec, self.robots_ref, k, -1, self._lazy_robots,
                     rets[7],  # this batch's link block
                 )
                 pf_filt[i] = f[0]
@@ -804,21 +810,8 @@ class CrawlJob:
         arrays, and per-shard-per-block attachment winner rows.  The caller
         wires them straight into the finalize writers."""
         kc = self.content_seen.k
-        shards = self.content_seen.shards
-        nr = 1 + nb
-
-        def _gate(parts_by_shard):
-            w = [[None] * nb for _ in range(kc)]
-            for s in range(kc):
-                rets = shards[s].gate_parts.options(num_returns=nr).remote(
-                    *parts_by_shard[s]
-                )
-                for b in range(nb):
-                    w[s][b] = rets[1 + b]
-            return w
-
-        img_w = _gate(img_parts)
-        doc_w = _gate(doc_parts)
+        img_w = self.content_seen.gate_round(img_parts)[1]
+        doc_w = self.content_seen.gate_round(doc_parts)[1]
         surv, oparts = [None] * nb, [[None] * nb for _ in range(kc)]
         for b in range(nb):
             rets = _doc_stage2.options(num_returns=1 + kc).remote(
@@ -827,8 +820,8 @@ class CrawlJob:
             surv[b] = rets[0]
             for s in range(kc):
                 oparts[s][b] = rets[1 + s]
-        ori_w = _gate(oparts)
-        att_w = _gate(att_parts)
+        ori_w = self.content_seen.gate_round(oparts)[1]
+        att_w = self.content_seen.gate_round(att_parts)[1]
         sim_parts = [
             _doc_stage3.remote(surv[b], *[ori_w[s][b] for s in range(kc)])
             for b in range(nb)
@@ -933,13 +926,10 @@ class CrawlJob:
         return self.bench.all()
 
     def shutdown(self) -> None:
-        """Kill the seen-set shards and fetch workers (job-lifetime actors)."""
+        """Kill the state actors and fetch workers (job-lifetime actors)."""
         self._drain_pending()
-        self.seen.shutdown()
-        self.content_seen.shutdown()
+        self.state.shutdown()
         self.fetch_pool.shutdown()
-        self.sched.shutdown()
-        self.docsim.shutdown()
 
     def summary(self) -> dict:
         metrics = self.metrics()
@@ -1043,7 +1033,7 @@ def _noop() -> None:
 
 
 def _filter_and_split(spec: CrawlSpec, robots: dict, k: int, content_seq: int,
-                      sched_handles: tuple, *tables: pa.Table):
+                      sched, *tables: pa.Table):
     """CandidateFilter + per-seen-shard key extraction over one coalesced
     group of link blocks — every round's filter, run in-process for a
     driver-sized round and as a ``_filter_extract`` task otherwise.  Returns
@@ -1053,28 +1043,13 @@ def _filter_and_split(spec: CrawlSpec, robots: dict, k: int, content_seq: int,
     only ever reads a block's gate winners, and a key's winner can only be
     the row kept here.
 
-    ``sched_handles``: non-empty in lazy-robots mode — the politeness shard
-    actors answering hosts → robots rules (fetched on first sight)."""
+    ``sched``: in lazy-robots mode, the ``SchedulePool`` whose partitions
+    answer hosts → robots rules (fetched on first sight); falsy otherwise."""
     t = pa.concat_tables(tables) if len(tables) > 1 else tables[0]
     filt = CandidateFilter(spec)
     filt.robots = robots
-    if sched_handles:
-        from ..stages.politeness import host_shard
-
-        P = len(sched_handles)
-
-        def _lookup(hosts: list[str]) -> dict:
-            futs = []
-            for s in range(P):
-                hs = [h for h in hosts if host_shard(h, P) == s]
-                if hs:
-                    futs.append(sched_handles[s].robots_for.remote(hs))
-            merged: dict = {}
-            for d in ray.get(futs):
-                merged.update(d)
-            return merged
-
-        filt.robots_lookup = _lookup
+    if sched:
+        filt.robots_lookup = sched.robots_for
     out = filt(t, content_seq=content_seq)
     # within-block dedup: one row per key — its min (parent_seq, link_idx),
     # so the result is independent of block order — and each distinct key's

@@ -22,13 +22,14 @@ make politeness auditable (`assert_polite`) and replay-deterministic
 (north_rule lineage).
 
 Scale note: the ledger walk is hash(host)-partitioned (``ScheduleShard``
-actor pool): each rank task splits its block's (host, seq, priority) triples
-by ``host_shard``, and each shard actor concatenates its parts, sorts them
-into pop order, walks ONLY its own hosts' clocks and writes its schedule
-part directly to the epoch sink.  A host never spans shards, so the
-per-shard walk is exact, no per-row data ever crosses the driver, and the
-shard mailbox serializes rounds — the next round's call simply queues behind
-the current one (no driver barrier).
+partitions, partition p on state actor ``p % n`` beside partition p of the
+seen tables and the sim bands, ``state/pool.py``): each rank task splits its
+block's (host, seq, priority) triples by ``host_shard``, and each partition
+concatenates its parts, sorts them into pop order, walks ONLY its own hosts'
+clocks and writes its schedule part directly to the epoch sink.  A host
+never spans partitions, so the per-partition walk is exact, no per-row data
+ever crosses the driver, and the actor mailbox serializes rounds — the next
+round's call simply queues behind the current one (no driver barrier).
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ import os
 import numpy as np
 import pyarrow as pa
 import ray
+
+from ..state.pool import Partitioned, StatePool
 
 
 class HostClock:
@@ -103,12 +106,12 @@ def split_sched_parts(hosts: list[str], seqs, prios, p: int) -> list[tuple]:
     return out
 
 
-@ray.remote(num_cpus=0)
 class ScheduleShard:
     """One politeness partition: owns the clocks for hosts with
     ``host_shard(h, P) == p``.  ``schedule_parts`` is the per-round ledger
-    walk; the actor mailbox serializes rounds so callers never barrier on it
-    (T7 at north_rule scale — the driver gather this replaces was O(round)).
+    walk; the hosting actor's mailbox serializes rounds so callers never
+    barrier on it (T7 at north_rule scale — the driver gather this replaces
+    was O(round)).
     """
 
     def __init__(self, shard_id: int, default_delay_ms: float, robots: dict,
@@ -200,40 +203,47 @@ class ScheduleShard:
         )
 
 
-class SchedulePool:
-    """Driver facade over P ScheduleShard actors."""
+class SchedulePool(Partitioned):
+    """Driver facade over P ``ScheduleShard`` partitions, held under
+    ``"sched"`` on the state actors of ``pool`` (its own pool when None)."""
 
     def __init__(self, p: int, default_delay_ms: float, robots: dict,
-                 fetch_ctx: tuple | None = None, robots_ttl_s: float | None = None):
+                 fetch_ctx: tuple | None = None, robots_ttl_s: float | None = None,
+                 pool: StatePool | None = None):
         self.p = p
-        self.shards = [
-            ScheduleShard.remote(i, default_delay_ms, robots, fetch_ctx, robots_ttl_s)
-            for i in range(p)
-        ]
+        super().__init__("sched", ScheduleShard, [
+            (i, default_delay_ms, robots, fetch_ctx, robots_ttl_s) for i in range(p)
+        ], pool)
 
     def schedule_round(self, out_path: str, use_priority: bool,
                        part_matrix: list[list]) -> list:
         """``part_matrix[b][p]`` = (refs to) block b's part for shard p.
         Returns one future per shard; callers may defer the gather — actor
         mailboxes keep rounds ordered."""
+        return [self._call(s, "schedule_parts", out_path, use_priority,
+                           *[row[s] for row in part_matrix])
+                for s in range(self.p)]
+
+    def robots_for(self, hosts: list[str]) -> dict[str, dict]:
+        """Robots rules for ``hosts``, each asked of the partition that owns
+        it (``ScheduleShard.robots_for``: fetched on first sight)."""
         futs = []
         for s in range(self.p):
-            parts = [row[s] for row in part_matrix]
-            futs.append(self.shards[s].schedule_parts.remote(out_path, use_priority, *parts))
-        return futs
+            hs = [h for h in hosts if host_shard(h, self.p) == s]
+            if hs:
+                futs.append(self._call(s, "robots_for", hs))
+        merged: dict = {}
+        for d in ray.get(futs):
+            merged.update(d)
+        return merged
 
     def snapshot_refs(self) -> list:
         """Mailbox-pinned snapshot submission (see SeenSet.snapshot_refs);
         the caller merges the per-shard dicts when it gathers."""
-        return [s.snapshot.remote() for s in self.shards]
+        return self._each("snapshot")
 
     def restore(self, snap: dict[str, float]) -> None:
-        ray.get([s.restore.remote(snap, self.p) for s in self.shards])
-
-    def shutdown(self) -> None:
-        for s in self.shards:
-            ray.kill(s)
-        self.shards = []
+        ray.get(self._each("restore", snap, self.p))
 
 
 def assert_polite(tables: list[pa.Table], clock: HostClock) -> None:

@@ -1,12 +1,14 @@
-"""Sharded URL-seen set — an actor pool holding 128-bit key tables.
+"""Sharded URL-seen set — K partitions holding 128-bit key tables.
 
 Reference semantics: the frontier's UNIQUE ``distinct_hash`` makes enqueue
 idempotent (T1/D1, PHPCrawlerSQLiteURLCache.class.php:107-138 `INSERT OR
-IGNORE`).  Here that is K shard actors, shard = low 32 md5 bits mod K; each
-key is an md5 digest carried as its (hi, lo) uint64 pair.  A shard holds
-either an exact ``KeyTable`` (16 B/key, byte-for-byte parity) or, in the
-10^10-key memory mode, an approximate ``CuckooChain`` probed with ``hi``.
-Shards serialize their own mutations (the actor mailbox is the lock), so no
+IGNORE`).  Here that is K ``SeenShard`` partitions, shard = low 32 md5 bits
+mod K; each key is an md5 digest carried as its (hi, lo) uint64 pair.  A
+shard holds either an exact ``KeyTable`` (16 B/key, byte-for-byte parity)
+or, in the 10^10-key memory mode, an approximate ``CuckooChain`` probed with
+``hi``.  Partition i lives on state actor ``i % n`` (``state/pool.py``),
+beside partition i of the crawl's other keyed state; the actor's FIFO
+mailbox serializes a shard's mutations (the mailbox is the lock), so no
 cross-actor coordination is needed — the shard IS the claim unit, replacing
 the reference's table-wide `LOCK TABLE urls WRITE`
 (PHPCrawlerMySqlUrlCache.class.php:124,174).
@@ -27,6 +29,7 @@ import numpy as np
 import ray
 
 from .cuckoo import CuckooChain
+from .pool import Partitioned, StatePool
 
 _NO_KEYS = np.zeros(0, dtype=np.uint64)
 
@@ -106,10 +109,10 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"seen_mode must be 'exact' or 'cuckoo', got {mode!r}")
 
 
-@ray.remote(num_cpus=0)
 class SeenShard:
     """One shard: a ``KeyTable`` (mode 'exact') or a ``CuckooChain`` (mode
-    'cuckoo'), answered and updated by ``gate_parts``."""
+    'cuckoo'), answered and updated by ``gate_parts``.  A plain object: the
+    crawl hosts it on a ``StateShard`` actor; tests call it in-process."""
 
     def __init__(self, shard_id: int, capacity: int = 1 << 20, mode: str = "exact"):
         _check_mode(mode)
@@ -199,21 +202,29 @@ class SeenShard:
         return self.table.members()
 
 
-class SeenSet:
-    """Driver-side facade over K SeenShard actors.
+class SeenSet(Partitioned):
+    """Driver-side facade over K ``SeenShard`` partitions held under
+    ``slot`` on the state actors of ``pool`` (its own pool when None)."""
 
-    Shards are ``num_cpus=0``: they are memory holders whose per-call work is
-    microseconds per thousand keys — reserving whole CPUs for them starves the
-    map stages (a 4-CPU test cluster deadlocks).  On a real cluster, shard
-    placement follows object-store memory, not CPU."""
-
-    def __init__(self, k: int = 4, capacity_per_shard: int = 1 << 20, mode: str = "exact"):
+    def __init__(self, k: int = 4, capacity_per_shard: int = 1 << 20, mode: str = "exact",
+                 pool: StatePool | None = None, slot: str = "url"):
         _check_mode(mode)
         self.k = k
         self.mode = mode
-        self.shards = [
-            SeenShard.remote(i, capacity_per_shard, mode) for i in range(k)
-        ]
+        super().__init__(slot, SeenShard,
+                         [(i, capacity_per_shard, mode) for i in range(k)], pool)
+
+    def gate_round(self, parts_by_shard: list[list]) -> tuple[list, list[list]]:
+        """One ``gate_parts`` call per shard over ``parts_by_shard[s]`` (a
+        round's parts for shard s, one per block, values or refs).  Returns
+        the per-shard counts refs and the winner-row refs ``[s][b]`` —
+        nothing is gathered here."""
+        counts, winners = [], []
+        for s, parts in enumerate(parts_by_shard):
+            rets = self._call(s, "gate_parts", *parts, num_returns=1 + len(parts))
+            counts.append(rets[0])
+            winners.append(rets[1:])
+        return counts, winners
 
     def check_and_add(self, md5s: list[str]) -> np.ndarray:
         """First-sighting mask in input order (True = new, now marked seen;
@@ -222,7 +233,7 @@ class SeenSet:
         mask = np.zeros(len(md5s), dtype=bool)
         pos = np.arange(len(md5s), dtype=np.int64)
         parts = key_parts(*md5hex_to_u64_pairs(md5s), pos, pos, pos, self.k)
-        refs = [self.shards[s].gate_parts.options(num_returns=2).remote(p)[1]
+        refs = [self._call(s, "gate_parts", p, num_returns=2)[1]
                 for s, p in enumerate(parts) if p["hi"].size]
         for rows in ray.get(refs):
             mask[rows] = True
@@ -230,27 +241,22 @@ class SeenSet:
 
     def members(self) -> list[str]:
         out: list[str] = []
-        for part in ray.get([s.dump_members.remote() for s in self.shards]):
+        for part in ray.get(self._each("dump_members")):
             out.extend(part)
         return sorted(out)
 
     def stats(self) -> list[dict]:
-        return ray.get([s.stats.remote() for s in self.shards])
+        return ray.get(self._each("stats"))
 
     def snapshot(self) -> list[dict]:
-        return ray.get([s.snapshot.remote() for s in self.shards])
+        return ray.get(self.snapshot_refs())
 
     def snapshot_refs(self) -> list:
         """Submit the snapshot calls without gathering — the actor mailbox
         pins each to its submission point, so a deferred ``ray.get`` still
         observes exactly the state as of submission (epoch-exact)."""
-        return [s.snapshot.remote() for s in self.shards]
+        return self._each("snapshot")
 
     def restore(self, snaps: list[dict]) -> None:
         assert len(snaps) == self.k, "shard count mismatch on restore"
-        ray.get([s.restore.remote(snap) for s, snap in zip(self.shards, snaps)])
-
-    def shutdown(self) -> None:
-        for s in self.shards:
-            ray.kill(s)
-        self.shards = []
+        ray.get([self._call(s, "restore", snap) for s, snap in enumerate(snaps)])

@@ -22,10 +22,12 @@ grouped and verified with vectorized hamming.  A multi-band hit resolves to
 the hit with the smallest stored enqueue_seq — the earliest stored doc.
 
 Scale: state is O(queried docs × 4/P) per shard — the same order as the
-URL-seen set, sharded the same way; snapshot/restore rides the per-epoch
-checkpoint like the seen shards (T10).  The per-round call ships the round's
-doc parts in block order (= enqueue_seq order), so results are deterministic
-and the actor mailbox serializes rounds.
+URL-seen set, sharded the same way; band b lives on state actor ``b % n``
+(``state/pool.py``) beside partition b of the seen tables and the politeness
+ledger, and snapshot/restore rides the per-epoch checkpoint like the seen
+shards (T10).  The per-round call ships the round's doc parts in block order
+(= enqueue_seq order), so results are deterministic and the actor mailbox
+serializes rounds.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numpy as np
 import ray
 
 from ..functions import hashing
+from .pool import Partitioned, StatePool
 
 N_BANDS = 4
 _SCAN_CHUNK = 2048  # stored members examined per early-exit scan step
@@ -130,9 +133,9 @@ def _query_insert_band(
     return hit
 
 
-@ray.remote(num_cpus=0)
 class SimBandShard:
-    """One band of the doc simhash index."""
+    """One band of the doc simhash index (a plain object hosted on a state
+    actor)."""
 
     def __init__(self, band: int):
         self.band = band
@@ -171,21 +174,20 @@ class SimBandShard:
         }
 
 
-class SimIndex:
-    """Driver facade over the band shards."""
+class SimIndex(Partitioned):
+    """Driver facade over the ``N_BANDS`` band shards, held under ``"sim"``
+    on the state actors of ``pool`` (its own pool when None)."""
 
-    def __init__(self):
-        self.shards = [SimBandShard.remote(b) for b in range(N_BANDS)]
+    def __init__(self, pool: StatePool | None = None):
+        super().__init__("sim", SimBandShard, [(b,) for b in range(N_BANDS)], pool)
 
     def query_parts_refs(self, max_hamming: int, part_refs: list) -> list[list]:
         """Submit one round-sized call per band shard; returns
         ``hits[band][block]`` hit-seq array REFS (nothing gathered here)."""
         nb = len(part_refs)
         out = []
-        for s in self.shards:
-            rets = s.query_parts.options(num_returns=nb if nb > 1 else 1).remote(
-                max_hamming, *part_refs
-            )
+        for b in range(len(self.shards)):
+            rets = self._call(b, "query_parts", max_hamming, *part_refs, num_returns=nb)
             out.append([rets] if nb == 1 else list(rets))
         return out
 
@@ -200,9 +202,7 @@ class SimIndex:
             seqs = np.arange(n, dtype=np.int64)
         part = {"sim": np.asarray(sims_i64, dtype=np.int64),
                 "seq": np.asarray(seqs, dtype=np.int64)}
-        hits = np.stack(ray.get([
-            s.query_parts.remote(max_hamming, part) for s in self.shards
-        ]))
+        hits = np.stack(ray.get(self._each("query_parts", max_hamming, part)))
         best = np.where(hits == -1, np.iinfo(np.int64).max, hits).min(axis=0)
         seq_to_id = dict(zip((int(x) for x in seqs), ids))
         # a hit seq from an earlier call maps to no id in this batch — still a
@@ -213,12 +213,7 @@ class SimIndex:
 
     def snapshot_refs(self) -> list:
         """Mailbox-pinned snapshot submission (see SeenSet.snapshot_refs)."""
-        return [s.snapshot.remote() for s in self.shards]
+        return self._each("snapshot")
 
     def restore(self, snaps: list[dict]) -> None:
-        ray.get([s.restore.remote(snap) for s, snap in zip(self.shards, snaps)])
-
-    def shutdown(self) -> None:
-        for s in self.shards:
-            ray.kill(s)
-        self.shards = []
+        ray.get([self._call(b, "restore", snap) for b, snap in enumerate(snaps)])

@@ -329,7 +329,9 @@ def test_resume_mid_epoch_kill(ray_session, fixture_paths, golden, tmp_path):
 @pytest.mark.parametrize("victim", ["fetch", "seen", "content", "sched"])
 def test_resume_after_actor_death(ray_session, fixture_paths, golden, tmp_path, victim):
     """A job-lifetime ACTOR dying mid-crawl (node loss at cluster scale) —
-    fetch worker, URL-seen shard, content-seen shard, or politeness shard —
+    a fetch worker, or the state actor holding a URL-seen, content-seen or
+    politeness partition (one process hosts a partition of every kind, so
+    the last three reach it through each kind's own facade) —
     fails the in-flight round; a supervisor-style restart on the same job
     dir resumes from the last blessed epoch and converges to the golden
     state.  This drives the real failure path — ray.kill on a live actor,
@@ -360,7 +362,7 @@ def test_resume_after_actor_death(ray_session, fixture_paths, golden, tmp_path, 
         j1._drain_pending()
         j1._round(cand, 3, hint)  # belt-and-braces: error must surface by here
     # crashed-driver teardown: kill job actors without draining errored refs
-    for comp in (j1.seen, j1.content_seen, j1.fetch_pool, j1.sched, j1.docsim):
+    for comp in (j1.state, j1.fetch_pool):
         try:
             comp.shutdown()
         except Exception:

@@ -244,18 +244,11 @@ def test_filter_matches_reference_in_lazy_robots_mode():
 def _gate(k: int, parts_by_block: list[list[dict]], mode: str):
     """Fresh seen shards; each answers every block's part in one call.
     Returns the (winners, probed) totals and each block's winner rows."""
-    import ray
-
     from lightcrawler_ray.state.seenset import SeenShard
 
-    shards = [SeenShard.remote(s, 1 << 12, mode) for s in range(k)]
-    try:
-        B = len(parts_by_block)
-        rets = [ray.get(shards[s].gate_parts.options(num_returns=1 + B).remote(
-            *[parts_by_block[b][s] for b in range(B)])) for s in range(k)]
-    finally:
-        for a in shards:
-            ray.kill(a)
+    shards = [SeenShard(s, 1 << 12, mode) for s in range(k)]
+    B = len(parts_by_block)
+    rets = [shards[s].gate_parts(*[parts_by_block[b][s] for b in range(B)]) for s in range(k)]
     counts = np.stack([r[0] for r in rets]).sum(axis=0)
     rows = [[r[1 + b] for r in rets] for b in range(len(parts_by_block))]
     return counts.sum(axis=1), rows

@@ -64,7 +64,7 @@ def _part(keys: list[str], seq, idx) -> dict:
 
 
 @pytest.mark.parametrize("mode", ["exact", "cuckoo"])
-def test_gate_parts_winner_is_min_seq_idx_per_128_bit_key(ray_session, mode):
+def test_gate_parts_winner_is_min_seq_idx_per_128_bit_key(mode):
     from lightcrawler_ray.state.seenset import SeenShard
 
     rng = np.random.default_rng(11)
@@ -76,25 +76,20 @@ def test_gate_parts_winner_is_min_seq_idx_per_128_bit_key(ray_session, mode):
     for b, (keys, p) in enumerate(zip(blocks, parts)):
         for r, key in enumerate(keys):
             best[key] = min(best.get(key, (np.inf,)), (p["seq"][r], p["idx"][r], b, r))
-    shard = SeenShard.remote(0, 1 << 10, mode)
-    try:
-        counts, *rows = ray_session.get(shard.gate_parts.options(num_returns=4).remote(*parts))
-        got = {(b, int(r)) for b, rs in enumerate(rows) for r in rs}
-        assert got == {(b, r) for *_, b, r in best.values()}
-        assert counts[0].sum() == len(best) == len(set(sum(blocks, [])))
-        assert counts[1].tolist() == [15, 15, 15]
-        if mode == "exact":
-            # a later round: only keys new at 128 bits win, even when they
-            # share hi or lo with a member
-            later = [_TWINS[0], _hex(7, 4), _hex(6, 2), _TWINS[3], _hex(7, 4)]
-            counts, rows = ray_session.get(shard.gate_parts.options(num_returns=2).remote(
-                _part(later, [0, 2, 0, 0, 1], [0, 0, 0, 0, 0])))
-            assert rows.tolist() == [2, 4]
-            assert counts[:, 0].tolist() == [2, 5]
-            members = ray_session.get(shard.dump_members.remote())
-            assert members == sorted(set(_TWINS + later))
-    finally:
-        ray_session.kill(shard)
+    shard = SeenShard(0, 1 << 10, mode)
+    counts, *rows = shard.gate_parts(*parts)
+    got = {(b, int(r)) for b, rs in enumerate(rows) for r in rs}
+    assert got == {(b, r) for *_, b, r in best.values()}
+    assert counts[0].sum() == len(best) == len(set(sum(blocks, [])))
+    assert counts[1].tolist() == [15, 15, 15]
+    if mode == "exact":
+        # a later round: only keys new at 128 bits win, even when they
+        # share hi or lo with a member
+        later = [_TWINS[0], _hex(7, 4), _hex(6, 2), _TWINS[3], _hex(7, 4)]
+        counts, rows = shard.gate_parts(_part(later, [0, 2, 0, 0, 1], [0, 0, 0, 0, 0]))
+        assert rows.tolist() == [2, 4]
+        assert counts[:, 0].tolist() == [2, 5]
+        assert shard.dump_members() == sorted(set(_TWINS + later))
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -138,11 +133,10 @@ def test_snapshot_restore_round_trips_membership(ray_session, mode):
 
 
 @pytest.mark.parametrize("mode", ["both", "Exact", ""])
-def test_unknown_seen_mode_raises(ray_session, mode):
+def test_unknown_seen_mode_raises(mode):
     from lightcrawler_ray.state.seenset import SeenSet, SeenShard
 
     with pytest.raises(ValueError, match="seen_mode"):
         SeenSet(2, 16, mode)
-    shard = SeenShard.remote(0, 16, mode)
-    with pytest.raises(Exception, match="seen_mode"):
-        ray_session.get(shard.stats.remote())
+    with pytest.raises(ValueError, match="seen_mode"):
+        SeenShard(0, 16, mode)
