@@ -13,8 +13,8 @@ DuckDB replay (see ``__ray_entry__.oracle_sql``):
   HUGEINT CTE stages;
 - the heavy work (transition extraction, funnel chaining, retention
   self-match, rank assignment) is the sessionize coarse-partition shape:
-  ONE shuffle on ``key % P``, then pure-numpy segmented kernels inside
-  each partition — no per-key Python calls;
+  one ``co_partition`` exchange on the key, then pure-numpy segmented
+  kernels inside each partition — no per-key Python calls;
 - what reaches the driver is bounded by a DOMAIN, never by the data:
   |event_types|² edges for PageRank, |types|×7 cells for CUBE, 2^14
   bucket counts for the ntile prefix sum, ≤|distinct sizes| frontier
@@ -33,6 +33,8 @@ import pyarrow.compute as pc
 import ray.data as rd
 from ray.data.aggregate import Sum
 
+from ..copartition import co_partition
+
 _PARTITIONS = 32
 
 _DAY_US = 86_400_000_000
@@ -47,11 +49,6 @@ def _pq(sf_dir: str, table: str, columns: list[str]) -> rd.Dataset:
 
 def _ts_us(col: pa.ChunkedArray) -> np.ndarray:
     return col.to_numpy(zero_copy_only=False).astype("datetime64[us]").view(np.int64)
-
-
-def _add_user_part(t: pa.Table, partitions: int = _PARTITIONS) -> pa.Table:
-    part = pc.cast(pc.bit_wise_and(t["user_id"], partitions - 1), pa.int32())
-    return t.append_column("part", part)
 
 
 # --------------------------------------------------------------------------
@@ -104,8 +101,7 @@ def pagerank_transitions(sf_dir: str) -> pd.DataFrame:
         })
 
     w = (
-        ds.map_batches(_add_user_part, batch_format="pyarrow")
-        .groupby("part").map_groups(edges, batch_format="pyarrow")
+        co_partition(ds, "user_id", _PARTITIONS, edges)
         .groupby(["src", "dst"]).aggregate(Sum("c", alias_name="c"))
         .to_pandas()  # ≤ |types|² rows
     )
@@ -186,10 +182,7 @@ def funnel_steps(sf_dir: str, partitions: int = _PARTITIONS) -> rd.Dataset:
             "stage": pa.array(stage, pa.int64()),
         })
 
-    return (
-        ds.map_batches(lambda t: _add_user_part(t, partitions), batch_format="pyarrow")
-        .groupby("part").map_groups(chain, batch_format="pyarrow")
-    )
+    return co_partition(ds, "user_id", partitions, chain)
 
 
 # --------------------------------------------------------------------------
@@ -234,9 +227,8 @@ def retention_weekly(sf_dir: str, partitions: int = _PARTITIONS) -> rd.Dataset:
         })
 
     return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(lambda t: _add_user_part(t, partitions), batch_format="pyarrow")
-        .groupby("part").map_groups(per_week, batch_format="pyarrow")
+        co_partition(ds.map_batches(partial, batch_format="pyarrow"), "user_id",
+                     partitions, per_week)
         .groupby("week")
         .aggregate(Sum("n_active", alias_name="n_active"),
                    Sum("n_retained", alias_name="n_retained"))
@@ -674,10 +666,6 @@ def trending_items(sf_dir: str, k: int = 10,
               .groupby("item").aggregate(Sum("cnt_early", alias_name="cnt_early"),
                                          Sum("cnt_late", alias_name="cnt_late")))
 
-    def tag(t: pa.Table) -> pa.Table:
-        part = pc.cast(pc.bit_wise_and(t["item"], partitions - 1), pa.int32())
-        return t.append_column("part", part)
-
     def local_topk(g: pa.Table) -> pa.Table:
         item = g.column("item").to_numpy(zero_copy_only=False).astype(np.int64)
         ce = g.column("cnt_early").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -691,9 +679,7 @@ def trending_items(sf_dir: str, k: int = 10,
             "delta": pa.array(delta[order], pa.int64()),
         })
 
-    cand = (counts.map_batches(tag, batch_format="pyarrow")
-            .groupby("part").map_groups(local_topk, batch_format="pyarrow")
-            .to_pandas())  # ≤ k × P rows
+    cand = co_partition(counts, "item", partitions, local_topk).to_pandas()  # ≤ k × P rows
     cand = cand.sort_values(["delta", "item"],
                             ascending=[False, True]).head(k).reset_index(drop=True)
     cand["rnk"] = np.arange(1, len(cand) + 1, dtype=np.int64)

@@ -31,6 +31,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from ..copartition import co_partition, hot_keys
 from ..functions import hashing
 
 _MH_K = 64
@@ -69,11 +70,11 @@ def _expand_run_pairs(new_run: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def minhash_band_rows(sf_dir: str) -> rd.Dataset:
-    """Stage 1-2 of MinHash-LSH: per-doc signature → (part, band_id,
-    band_hash, doc_id) rows, computed vectorized per batch.  ``band_hash``
-    is the blake2b-64 of the band's minhash chunk as a uint64 (a numeric
-    grouping key partitions and run-sorts without string compares);
-    ``part`` is the coarse shuffle key ``band_hash % P``."""
+    """Stage 1-2 of MinHash-LSH: per-doc signature → (band_id, band_hash,
+    doc_id) rows, computed vectorized per batch.  ``band_hash`` is the
+    blake2b-64 of the band's minhash chunk as a uint64 (a numeric grouping
+    key partitions and run-sorts without string compares); it is also the
+    ``co_partition`` key."""
     a, b = hashing.minhash_params(_MH_K)
 
     def sig_rows(t: pa.Table) -> pa.Table:
@@ -92,8 +93,7 @@ def minhash_band_rows(sf_dir: str) -> rd.Dataset:
             dtype=np.uint64, count=d * _MH_BANDS,
         )
         return pa.table(
-            {"part": pa.array((bh % _PAIR_PARTITIONS).astype(np.int32)),
-             "band_id": pa.array(np.tile(np.arange(_MH_BANDS, dtype=np.int32), d)),
+            {"band_id": pa.array(np.tile(np.arange(_MH_BANDS, dtype=np.int32), d)),
              "band_hash": pa.array(bh),
              "doc_id": pa.array(np.repeat(ids, _MH_BANDS))}
         )
@@ -133,8 +133,8 @@ def minhash_lsh_pairs(sf_dir: str, threshold: float = 0.5) -> pd.DataFrame:
 
     bands = minhash_band_rows(sf_dir)
     cand = (
-        bands.groupby("part")
-        .map_groups(_mh_partition_pairs, batch_format="pandas")
+        co_partition(bands, "band_hash", _PAIR_PARTITIONS, _mh_partition_pairs,
+                     batch_format="pandas")
         .to_pandas()
         .drop_duplicates()
     )
@@ -216,7 +216,6 @@ def _banded_hamming_pairs(
         idx = np.tile(np.arange(n), n_bands)
         return pa.table(
             {
-                "part": pa.array((keys % _PAIR_PARTITIONS).astype(np.int32)),
                 "band_key": pa.array(keys),
                 id_col: ids.take(pa.array(idx)),
                 "simhash": pa.array(np.tile(ph, n_bands).view(np.int64)),
@@ -246,12 +245,8 @@ def _banded_hamming_pairs(
                          out_b: pa.array(ids[J[keep]], id_type),
                          "hamming": pa.array(d[keep].astype(np.int64), pa.int64())})
 
-    df = (
-        sigs.map_batches(band_rows, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(part_pairs, batch_format="pandas")
-        .to_pandas()
-    )
+    df = co_partition(sigs.map_batches(band_rows, batch_format="pyarrow"), "band_key",
+                      _PAIR_PARTITIONS, part_pairs, batch_format="pandas").to_pandas()
     if df.empty:
         dt = "string" if is_str else "int64"
         return pd.DataFrame({out_a: pd.Series([], dtype=dt),
@@ -317,9 +312,10 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.2, n_salts: int = 8,
 
     Skew (VERDICT r4 #8): ``source`` is a data-dependent key — one hot
     source used to land whole in a single partition and degrade to O(n²)
-    rows in one pandas merge.  Hot sources are now nominated from a bounded
-    driver sample (≥ ``hot_frac`` of ``sample_rows`` rows → at most
-    1/hot_frac sources, broadcast once via ``ray.put``) and triangle-salted:
+    rows in one pandas merge.  Hot sources are now nominated by
+    :func:`~lightcrawler_ray.copartition.hot_keys` (≥ ``hot_frac`` of a
+    sample of the first ``sample_rows`` rows of every block, broadcast once
+    via ``ray.put``) and triangle-salted:
     each hot doc hashes to a sub-block and replicates its shingle rows to
     the ``n_salts`` cells of :func:`_triangle_cells`, so every pair of
     sub-blocks meets in exactly one cell and per-partition pair work drops
@@ -328,21 +324,17 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.2, n_salts: int = 8,
     WHERE pairs meet, never the result — which the plain-SQL oracle
     certifies.  Cold sources keep the old single-cell path.
 
-    One shuffle on hash(source, cell) % P; within each partition the
+    ``co_partition`` on crc32(source|cell); within each partition the
     pairwise intersection sizes come from ONE exploded (source, cell,
     shingle, doc_id) self-merge — vectorized pandas, no per-pair Python
     set ops."""
     ds = _docs(sf_dir)
-    sample = ds.limit(sample_rows).select_columns(["source"]).to_pandas()
-    hot_min = max(2, int(len(sample) * hot_frac))
-    counts = sample["source"].value_counts()
-    hot = frozenset(str(s) for s, c in counts.items() if c >= hot_min)
-    hot_ref = ray.put(hot)
+    hot_ref = ray.put(hot_keys(ds, "source", sample_rows, hot_frac))
 
     def shingle_rows(t: pa.Table) -> pa.Table:
         hotset = ray.get(hot_ref)
         out_doc, out_src, out_sh, out_sz = [], [], [], []
-        out_cell, out_salt, out_part = [], [], []
+        out_cell, out_salt, out_crc = [], [], []
         for did, src, text in zip(
             t.column("doc_id").to_pylist(), t.column("source").to_pylist(),
             t.column("text").to_pylist(),
@@ -362,11 +354,8 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.2, n_salts: int = 8,
                 out_sz.extend([len(grams)] * len(grams))
                 out_cell.extend([cell] * len(grams))
                 out_salt.extend([sub] * len(grams))
-                out_part.extend(
-                    [zlib.crc32(f"{src}|{cell}".encode()) % _PAIR_PARTITIONS]
-                    * len(grams)
-                )
-        return pa.table({"part": pa.array(out_part, pa.int32()),
+                out_crc.extend([zlib.crc32(f"{src}|{cell}".encode())] * len(grams))
+        return pa.table({"cell_crc": pa.array(out_crc, pa.uint32()),
                          "source": pa.array(out_src, pa.string()),
                          "cell": pa.array(out_cell, pa.int32()),
                          "salt": pa.array(out_salt, pa.int32()),
@@ -401,12 +390,8 @@ def ngram_jaccard_pairs(sf_dir: str, threshold: float = 0.2, n_salts: int = 8,
                          "doc_b": pa.array(inter["doc_id_y"][keep], pa.int64()),
                          "jaccard": pa.array(jac[keep], pa.float64())})
 
-    df = (
-        ds.map_batches(shingle_rows, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(part_pairs, batch_format="pandas")
-        .to_pandas()
-    )
+    df = co_partition(ds.map_batches(shingle_rows, batch_format="pyarrow"), "cell_crc",
+                      _PAIR_PARTITIONS, part_pairs, batch_format="pandas").to_pandas()
     if df.empty:
         return pd.DataFrame({"doc_a": pd.Series([], dtype="int64"),
                              "doc_b": pd.Series([], dtype="int64"),
@@ -455,9 +440,8 @@ def dup_span_stats(sf_dir: str, n: int = _SPAN_N) -> pd.DataFrame:
             out_doc.extend([did] * len(c))
             out_gram.extend(c.keys())
             out_cnt.extend(c.values())
-        part = [zlib.crc32(g.encode()) % _PAIR_PARTITIONS for g in out_gram]
         return pa.table({
-            "part": pa.array(part, pa.int32()),
+            "gram_crc": pa.array([zlib.crc32(g.encode()) for g in out_gram], pa.uint32()),
             "gram": pa.array(out_gram, pa.string()),
             "doc_id": pa.array(out_doc, pa.int64()),
             "cnt": pa.array(out_cnt, pa.int64()),
@@ -497,9 +481,8 @@ def dup_span_stats(sf_dir: str, n: int = _SPAN_N) -> pd.DataFrame:
         })
 
     df = (
-        ds.map_batches(gram_rows, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(part_doc_partials, batch_format="pandas")
+        co_partition(ds.map_batches(gram_rows, batch_format="pyarrow"), "gram_crc",
+                     _PAIR_PARTITIONS, part_doc_partials, batch_format="pandas")
         .groupby("doc_id")
         .aggregate(Sum("w", alias_name="n_windows"), Sum("d", alias_name="n_dup_windows"))
         .map_batches(finalize, batch_format="pyarrow")
@@ -569,7 +552,6 @@ def embedding_near_dups_lsh(sf_dir: str, threshold: float = 0.35,
         idx = np.tile(np.arange(len(ids)), reps)
         mv = m[idx]
         return pa.table({
-            "part": pa.array((probes.reshape(-1) % _PAIR_PARTITIONS).astype(np.int32)),
             "bucket": pa.array(probes.reshape(-1), pa.int64()),
             "vec_id": pa.array(ids[idx], pa.int64()),
             "vec": pa.FixedSizeListArray.from_arrays(pa.array(mv.reshape(-1)), mv.shape[1]),
@@ -578,12 +560,8 @@ def embedding_near_dups_lsh(sf_dir: str, threshold: float = 0.35,
     def part_pairs(g: pd.DataFrame) -> pa.Table:
         return _vec_run_pairs(g, g["bucket"].to_numpy(dtype=np.int64), threshold)
 
-    df = (
-        ds.map_batches(bucket_rows, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(part_pairs, batch_format="pandas")
-        .to_pandas()
-    )
+    df = co_partition(ds.map_batches(bucket_rows, batch_format="pyarrow"), "bucket",
+                      _PAIR_PARTITIONS, part_pairs, batch_format="pandas").to_pandas()
     if df.empty:
         return pd.DataFrame({"vec_a": pd.Series([], dtype="int64"),
                              "vec_b": pd.Series([], dtype="int64")})
@@ -615,7 +593,7 @@ def embedding_near_dups(sf_dir: str, threshold: float = 0.35) -> pd.DataFrame:
         # watch-item regression on this query)
         vec = pa.FixedSizeListArray.from_arrays(pa.array(m.reshape(-1)), m.shape[1])
         return pa.table({
-            "part": pa.array((lkey % _PAIR_PARTITIONS).astype(np.int32)),
+            "label_crc": pa.array(lkey),
             "label": t.column("label"),
             "vec_id": t.column("vec_id"),
             "vec": vec,
@@ -626,12 +604,8 @@ def embedding_near_dups(sf_dir: str, threshold: float = 0.35) -> pd.DataFrame:
         # two labels in a partition, never merge their blocks)
         return _vec_run_pairs(g, g["label"].to_numpy().astype(str), threshold)
 
-    df = (
-        ds.map_batches(rows, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(part_pairs, batch_format="pandas")
-        .to_pandas()
-    )
+    df = co_partition(ds.map_batches(rows, batch_format="pyarrow"), "label_crc",
+                      _PAIR_PARTITIONS, part_pairs, batch_format="pandas").to_pandas()
     if df.empty:
         return pd.DataFrame({"vec_a": pd.Series([], dtype="int64"),
                              "vec_b": pd.Series([], dtype="int64")})
@@ -672,7 +646,6 @@ def connected_components(edges: pd.DataFrame, max_iters: int = _CC_MAX_ITERS) ->
     v = edges.iloc[:, 1].to_numpy(dtype=np.int64)
     su, sv = np.concatenate([u, v]), np.concatenate([v, u])  # symmetrize
     edges_ds = rd.from_arrow(pa.table({
-        "part": pa.array((su % _CC_PARTITIONS).astype(np.int32)),
         "key": pa.array(su), "val": pa.array(sv),
         "tag": pa.array(np.ones(len(su), dtype=np.int8)),
     })).materialize()
@@ -683,7 +656,6 @@ def connected_components(edges: pd.DataFrame, max_iters: int = _CC_MAX_ITERS) ->
         n = t.column("node").to_numpy(zero_copy_only=False).astype(np.int64)
         l = t.column("label").to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({
-            "part": pa.array((n % _CC_PARTITIONS).astype(np.int32)),
             "key": pa.array(n), "val": pa.array(l),
             "tag": pa.array(np.zeros(len(n), dtype=np.int8)),
         })
@@ -701,7 +673,6 @@ def connected_components(edges: pd.DataFrame, max_iters: int = _CC_MAX_ITERS) ->
         old = np.concatenate([np.zeros(len(m), np.int64),
                               lab["val"].to_numpy(np.int64)])
         return pa.table({
-            "part2": pa.array((node % _CC_PARTITIONS).astype(np.int32)),
             "node": pa.array(node), "label": pa.array(label),
             "old": pa.array(old), "selfrow": pa.array(selfrow),
         })
@@ -717,17 +688,11 @@ def connected_components(edges: pd.DataFrame, max_iters: int = _CC_MAX_ITERS) ->
         })
 
     for _ in range(max_iters):
-        step = (
-            labels.map_batches(tag_labels, batch_format="pyarrow")
-            .union(edges_ds)
-            .groupby("part")
-            .map_groups(propagate, batch_format="pandas")
-        )
-        labels = (
-            step.groupby("part2")
-            .map_groups(minimize, batch_format="pandas")
-            .materialize()
-        )
+        step = co_partition([labels.map_batches(tag_labels, batch_format="pyarrow"),
+                             edges_ds], "key", _CC_PARTITIONS, propagate,
+                            batch_format="pandas")
+        labels = co_partition(step, "node", _CC_PARTITIONS, minimize,
+                              batch_format="pandas").materialize()
         if labels.sum("changed") == 0:
             break
     else:
@@ -1052,9 +1017,8 @@ def fuzzy_name_pairs(sf_dir: str, max_dist: int = 2,
     def block_rows(t: pa.Table) -> pa.Table:
         names = t.column("p_name").to_pylist()
         blk = [s.rsplit(" ", 1)[-1] for s in names]
-        part = [zlib.crc32(b.encode()) % partitions for b in blk]
         return pa.table({
-            "part": pa.array(part, pa.int32()),
+            "blk_crc": pa.array([zlib.crc32(b.encode()) for b in blk], pa.uint32()),
             "blk": pa.array(blk, pa.string()),
             "p_partkey": t.column("p_partkey"),
             "p_name": pa.array(names, pa.string()),
@@ -1105,12 +1069,8 @@ def fuzzy_name_pairs(sf_dir: str, max_dist: int = 2,
             "dist": pa.array(cat(out_d, np.int64), pa.int64()),
         })
 
-    df = (
-        ds.map_batches(block_rows, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(part_pairs, batch_format="pyarrow")
-        .to_pandas()
-    )
+    df = co_partition(ds.map_batches(block_rows, batch_format="pyarrow"), "blk_crc",
+                      partitions, part_pairs).to_pandas()
     if df.empty:
         return pd.DataFrame({
             "a_key": pd.Series([], dtype="int64"), "b_key": pd.Series([], dtype="int64"),
@@ -1193,23 +1153,22 @@ def set_similarity_join(sf_dir: str, tau100: int = 50,
     df = (toks.map_batches(df_partial, batch_format="pyarrow")
           .groupby("th").aggregate(Sum("df", alias_name="df")))
 
-    def _th_part(th: np.ndarray) -> np.ndarray:
-        key = th.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        return ((key >> np.uint64(33)) & np.uint64(partitions - 1)).astype(np.int32)
+    def _th_mix(th: pa.ChunkedArray) -> pa.Array:
+        """Partition key of a token hash: a multiplicative mix of its bits."""
+        key = th.to_numpy().view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        return pa.array(key >> np.uint64(33))
 
     def df_tag(t: pa.Table) -> pa.Table:
-        th = t.column("th").to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({
-            "part": pa.array(_th_part(th)),
+            "th_mix": _th_mix(t["th"]),
             "th": t["th"], "df": t["df"],
             "doc_id": pa.nulls(len(t), pa.int64()),
             "s": pa.nulls(len(t), pa.int64()),
         })
 
     def tok_tag(t: pa.Table) -> pa.Table:
-        th = t.column("th").to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({
-            "part": pa.array(_th_part(th)),
+            "th_mix": _th_mix(t["th"]),
             "th": t["th"], "df": pa.nulls(len(t), pa.int64()),
             "doc_id": t["doc_id"], "s": t["s"],
         })
@@ -1234,15 +1193,9 @@ def set_similarity_join(sf_dir: str, tau100: int = 50,
             "df": pa.array(got, pa.int64()),
         })
 
-    toks_df = (
-        df.map_batches(df_tag, batch_format="pyarrow")
-        .union(toks.map_batches(tok_tag, batch_format="pyarrow"))
-        .groupby("part").map_groups(attach_df, batch_format="pyarrow")
-    )
-
-    def doc_tag(t: pa.Table) -> pa.Table:
-        part = pc.cast(pc.bit_wise_and(t["doc_id"], partitions - 1), pa.int32())
-        return t.append_column("part", part)
+    toks_df = co_partition([df.map_batches(df_tag, batch_format="pyarrow"),
+                            toks.map_batches(tok_tag, batch_format="pyarrow")],
+                           "th_mix", partitions, attach_df)
 
     def prefix_pick(g: pa.Table) -> pa.Table:
         doc = g.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1264,14 +1217,12 @@ def set_similarity_join(sf_dir: str, tau100: int = 50,
             "s": pa.array(s[keep], pa.int64()),
         })
 
-    prefixes = (toks_df.map_batches(doc_tag, batch_format="pyarrow")
-                .groupby("part").map_groups(prefix_pick, batch_format="pyarrow"))
+    prefixes = co_partition(toks_df, "doc_id", partitions, prefix_pick)
 
     _PACK = np.int64(1) << 32
 
     def pfx_tag(t: pa.Table) -> pa.Table:
-        th = t.column("th").to_numpy(zero_copy_only=False).astype(np.int64)
-        return t.append_column("part", pa.array(_th_part(th)))
+        return t.append_column("th_mix", _th_mix(t["th"]))
 
     def cand_pairs(g: pa.Table) -> pa.Table:
         th = g.column("th").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1314,8 +1265,8 @@ def set_similarity_join(sf_dir: str, tau100: int = 50,
         })
 
     cands = (
-        prefixes.map_batches(pfx_tag, batch_format="pyarrow")
-        .groupby("part").map_groups(cand_pairs, batch_format="pyarrow")
+        co_partition(prefixes.map_batches(pfx_tag, batch_format="pyarrow"), "th_mix",
+                     partitions, cand_pairs)
         .groupby("pair").aggregate(Min("sa", alias_name="sa"),
                                    Min("sb", alias_name="sb"))
         .materialize()  # three consumers (two expansions + meta); pair rows only
@@ -1326,7 +1277,6 @@ def set_similarity_join(sf_dir: str, tau100: int = 50,
             pair = t.column("pair").to_numpy(zero_copy_only=False).astype(np.int64)
             key = pair // _PACK if side == "a" else pair % _PACK
             return pa.table({
-                "part": pa.array((key & (partitions - 1)).astype(np.int32)),
                 "key": pa.array(key, pa.int64()),
                 "pair": t["pair"],
                 "th": pa.nulls(len(t), pa.int64()),
@@ -1335,7 +1285,6 @@ def set_similarity_join(sf_dir: str, tau100: int = 50,
 
     def tok_key_tag(t: pa.Table) -> pa.Table:
         return pa.table({
-            "part": pc.cast(pc.bit_wise_and(t["doc_id"], partitions - 1), pa.int32()),
             "key": t["doc_id"],
             "pair": pa.nulls(len(t), pa.int64()),
             "th": t["th"],
@@ -1362,26 +1311,21 @@ def set_similarity_join(sf_dir: str, tau100: int = 50,
             "th": pa.array(tt[gather], pa.int64()),
         })
 
-    side_a = (cands.map_batches(_expand_side("a"), batch_format="pyarrow")
-              .union(toks.map_batches(tok_key_tag, batch_format="pyarrow"))
-              .groupby("part").map_groups(expand, batch_format="pyarrow"))
-    side_b = (cands.map_batches(_expand_side("b"), batch_format="pyarrow")
-              .union(toks.map_batches(tok_key_tag, batch_format="pyarrow"))
-              .groupby("part").map_groups(expand, batch_format="pyarrow"))
+    side_a, side_b = (
+        co_partition([cands.map_batches(_expand_side(side), batch_format="pyarrow"),
+                      toks.map_batches(tok_key_tag, batch_format="pyarrow")],
+                     "key", partitions, expand)
+        for side in "ab")
 
     def match_tag(t: pa.Table) -> pa.Table:
-        pair = t.column("pair").to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({
-            "part": pa.array((pair & (partitions - 1)).astype(np.int32)),
             "pair": t["pair"], "th": t["th"],
             "sa": pa.nulls(len(t), pa.int64()),
             "sb": pa.nulls(len(t), pa.int64()),
         })
 
     def meta_tag(t: pa.Table) -> pa.Table:
-        pair = t.column("pair").to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({
-            "part": pa.array((pair & (partitions - 1)).astype(np.int32)),
             "pair": t["pair"], "th": pa.nulls(len(t), pa.int64()),
             "sa": t["sa"], "sb": t["sb"],
         })
@@ -1416,11 +1360,9 @@ def set_similarity_join(sf_dir: str, tau100: int = 50,
             "union_sz": pa.array(uni[keep], pa.int64()),
         })
 
-    return (
-        side_a.union(side_b).map_batches(match_tag, batch_format="pyarrow")
-        .union(cands.map_batches(meta_tag, batch_format="pyarrow"))
-        .groupby("part").map_groups(verify, batch_format="pyarrow")
-    )
+    return co_partition([side_a.union(side_b).map_batches(match_tag, batch_format="pyarrow"),
+                         cands.map_batches(meta_tag, batch_format="pyarrow")],
+                        "pair", partitions, verify)
 
 
 # ---------------------------------------------------------------------------
@@ -1459,7 +1401,6 @@ def snapshot_delta(sf_dir: str, partitions: int = _PAIR_PARTITIONS) -> rd.Datase
             s = text + " rev2" if (new_side and d % 7 == 0) else text
             hs.append(_hl.md5(s.encode("utf-8", "surrogatepass")).hexdigest())
         return pa.table({
-            "part": pa.array((did & (partitions - 1)).astype(np.int32)),
             "doc_id": pa.array(did, pa.int64()),
             "h": pa.array(hs, pa.string()),
             "is_new": pa.array(np.full(did.size, new_side), pa.bool_()),
@@ -1493,8 +1434,7 @@ def snapshot_delta(sf_dir: str, partitions: int = _PAIR_PARTITIONS) -> rd.Datase
             "status": pa.array(status, pa.string()),
         })
 
-    return (old.union(new)
-            .groupby("part").map_groups(classify, batch_format="pyarrow"))
+    return co_partition([old, new], "doc_id", partitions, classify)
 
 
 def image_dhash_topk(images_path: str, k: int = 3, max_hamming: int = 7,

@@ -44,6 +44,8 @@ import pyarrow.compute as pc
 import ray.data as rd
 from ray.data.aggregate import Sum
 
+from ..copartition import co_partition
+
 _PARTITIONS = 32
 _PACK = np.int64(1) << 32  # (hi, lo) int64 packing for sub-2^31 ids
 
@@ -82,10 +84,6 @@ def _pair_edges(kv: rd.Dataset, key_col: str, item_col: str,
     (key, item) dataset: cnt = number of distinct keys containing both
     items (users co-visiting pages, orders co-containing parts, ...)."""
 
-    def tag(t: pa.Table) -> pa.Table:
-        part = pc.cast(pc.bit_wise_and(t[key_col], partitions - 1), pa.int32())
-        return t.append_column("part", part)
-
     def pairs(g: pa.Table) -> pa.Table:
         u = g.column(key_col).to_numpy(zero_copy_only=False).astype(np.int64)
         i = g.column(item_col).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -117,8 +115,7 @@ def _pair_edges(kv: rd.Dataset, key_col: str, item_col: str,
         })
 
     return (
-        kv.map_batches(tag, batch_format="pyarrow")
-        .groupby("part").map_groups(pairs, batch_format="pyarrow")
+        co_partition(kv, key_col, partitions, pairs)
         .groupby(["a", "b"]).aggregate(Sum("c", alias_name="cnt"))
     )
 
@@ -143,7 +140,6 @@ def _edges_topk(edges: rd.Dataset, k: int,
         other = np.concatenate([b, a])
         cc = np.concatenate([c, c])
         return pa.table({
-            "part": pa.array((item & (partitions - 1)).astype(np.int32)),
             "item": pa.array(item), "other": pa.array(other), "cnt": pa.array(cc),
         })
 
@@ -166,10 +162,8 @@ def _edges_topk(edges: rd.Dataset, k: int,
             "rnk": pa.array(rank[keep].astype(np.int64), pa.int64()),
         })
 
-    return (
-        edges.map_batches(sym, batch_format="pyarrow")
-        .groupby("part").map_groups(head, batch_format="pyarrow")
-    )
+    return co_partition(edges.map_batches(sym, batch_format="pyarrow"), "item",
+                        partitions, head)
 
 
 def item_cooccurrence_topk(sf_dir: str, k: int = 5,
@@ -250,7 +244,6 @@ def triangle_counts(sf_dir: str, min_count: int = 3,
 
     def deg_tag(t: pa.Table) -> pa.Table:
         return pa.table({
-            "part": pc.cast(pc.bit_wise_and(t["node"], partitions - 1), pa.int32()),
             "node": t["node"],
             "other": pa.nulls(len(t), pa.int64()),
             "d": t["d"],
@@ -260,7 +253,6 @@ def triangle_counts(sf_dir: str, min_count: int = 3,
 
     def edge_tag_a(t: pa.Table) -> pa.Table:
         return pa.table({
-            "part": pc.cast(pc.bit_wise_and(t["a"], partitions - 1), pa.int32()),
             "node": t["a"],
             "other": t["b"],
             "d": pa.nulls(len(t), pa.int64()),
@@ -269,15 +261,14 @@ def triangle_counts(sf_dir: str, min_count: int = 3,
         })
 
     # merge 1: attach deg(a); edge travels keyed on a, carries b
-    got_da = (
-        deg.map_batches(deg_tag, batch_format="pyarrow")
-        .union(e.map_batches(edge_tag_a, batch_format="pyarrow"))
-        .groupby("part").map_groups(_merge_deg, batch_format="pyarrow")
+    got_da = co_partition(
+        [deg.map_batches(deg_tag, batch_format="pyarrow"),
+         e.map_batches(edge_tag_a, batch_format="pyarrow")],
+        "node", partitions, _merge_deg,
     )  # (node=a, carry=b, this_d=deg(a), prev_d=0)
 
     def rekey_b(t: pa.Table) -> pa.Table:
         return pa.table({
-            "part": pc.cast(pc.bit_wise_and(t["carry"], partitions - 1), pa.int32()),
             "node": t["carry"],           # now keyed on b
             "other": t["node"],
             "d": pa.nulls(len(t), pa.int64()),
@@ -286,10 +277,10 @@ def triangle_counts(sf_dir: str, min_count: int = 3,
         })
 
     # merge 2: attach deg(b)
-    got_db = (
-        deg.map_batches(deg_tag, batch_format="pyarrow")
-        .union(got_da.map_batches(rekey_b, batch_format="pyarrow"))
-        .groupby("part").map_groups(_merge_deg, batch_format="pyarrow")
+    got_db = co_partition(
+        [deg.map_batches(deg_tag, batch_format="pyarrow"),
+         got_da.map_batches(rekey_b, batch_format="pyarrow")],
+        "node", partitions, _merge_deg,
     )  # (node=b, carry=a, this_d=deg(b), prev_d=deg(a))
 
     def orient(t: pa.Table) -> pa.Table:
@@ -300,10 +291,7 @@ def triangle_counts(sf_dir: str, min_count: int = 3,
         b_first = (db < da) | ((db == da) & (b < a))
         lo = np.where(b_first, b, a)
         hi = np.where(b_first, a, b)
-        return pa.table({
-            "part": pa.array((lo & (partitions - 1)).astype(np.int32)),
-            "lo": pa.array(lo), "hi": pa.array(hi),
-        })
+        return pa.table({"lo": pa.array(lo), "hi": pa.array(hi)})
 
     oriented = got_db.map_batches(orient, batch_format="pyarrow")
 
@@ -335,28 +323,22 @@ def triangle_counts(sf_dir: str, min_count: int = 3,
             "center": pa.array(lo[a_idx]),
         })
 
-    wedge_ds = oriented.groupby("part").map_groups(wedges, batch_format="pyarrow")
+    wedge_ds = co_partition(oriented, "lo", partitions, wedges)
 
-    def _vw_part(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        key = (v.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-               + w.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F))
-        return ((key >> np.uint64(33)) & np.uint64(partitions - 1)).astype(np.int32)
+    def _vw_mix(v: pa.ChunkedArray, w: pa.ChunkedArray) -> pa.Array:
+        """Partition key of the packed (v, w) pair: a multiplicative mix."""
+        key = (v.to_numpy().astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+               + w.to_numpy().astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F))
+        return pa.array(key >> np.uint64(33))
 
     def wedge_tag(t: pa.Table) -> pa.Table:
-        v = t.column("v").to_numpy(zero_copy_only=False).astype(np.int64)
-        w = t.column("w").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "part": pa.array(_vw_part(v, w)),
-            "v": t["v"], "w": t["w"], "center": t["center"],
-        })
+        return t.append_column("vw_mix", _vw_mix(t["v"], t["w"]))
 
     def edge_tag_vw(t: pa.Table) -> pa.Table:
-        v = t.column("a").to_numpy(zero_copy_only=False).astype(np.int64)
-        w = t.column("b").to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({
-            "part": pa.array(_vw_part(v, w)),
             "v": t["a"], "w": t["b"],
             "center": pa.nulls(len(t), pa.int64()),
+            "vw_mix": _vw_mix(t["a"], t["b"]),
         })
 
     def close_wedges(g: pa.Table) -> pa.Table:
@@ -378,9 +360,9 @@ def triangle_counts(sf_dir: str, min_count: int = 3,
         return pa.table({"item": gb["node"], "t": pc.cast(gb["t_sum"], pa.int64())})
 
     return (
-        wedge_ds.map_batches(wedge_tag, batch_format="pyarrow")
-        .union(e.map_batches(edge_tag_vw, batch_format="pyarrow"))
-        .groupby("part").map_groups(close_wedges, batch_format="pyarrow")
+        co_partition([wedge_ds.map_batches(wedge_tag, batch_format="pyarrow"),
+                      e.map_batches(edge_tag_vw, batch_format="pyarrow")],
+                     "vw_mix", partitions, close_wedges)
         .groupby("item").aggregate(Sum("t", alias_name="triangles"))
     )
 
@@ -402,10 +384,6 @@ def mode_item_per_user(sf_dir: str, partitions: int = _PARTITIONS) -> rd.Dataset
     counts = (ds.map_batches(count_partial, batch_format="pyarrow")
               .groupby(["user_id", "item"]).aggregate(Sum("c", alias_name="cnt")))
 
-    def tag(t: pa.Table) -> pa.Table:
-        part = pc.cast(pc.bit_wise_and(t["user_id"], partitions - 1), pa.int32())
-        return t.append_column("part", part)
-
     def argmax(g: pa.Table) -> pa.Table:
         u = g.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
         i = g.column("item").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -420,5 +398,4 @@ def mode_item_per_user(sf_dir: str, partitions: int = _PARTITIONS) -> rd.Dataset
             "cnt": pa.array(cs[first], pa.int64()),
         })
 
-    return (counts.map_batches(tag, batch_format="pyarrow")
-            .groupby("part").map_groups(argmax, batch_format="pyarrow"))
+    return co_partition(counts, "user_id", partitions, argmax)

@@ -10,12 +10,13 @@ relational joins, each oracle-checked bit-exact against DuckDB.
 Scale shapes:
 
 - ``skew_salted_join`` — the classic salted join: a bounded sample of the
-  fact side nominates hot keys (anything above ``hot_frac`` of the
-  sample), hot FACT rows fan out over ``n_salts`` deterministic salts
-  while hot DIM rows are replicated once per salt, and the single
-  co-partitioning shuffle keys on (key, salt) so a hot key's rows land on
-  ``n_salts`` different partitions instead of one straggler.  Results are
-  salt-invariant by construction — the DuckDB oracle (a plain join) is
+  fact side (the head of every block, ``copartition.hot_keys``) nominates
+  hot keys (anything above ``hot_frac`` of the sample), hot FACT rows
+  fan out over ``n_salts`` deterministic salts while hot DIM rows are
+  replicated once per salt, and the single co-partitioning shuffle keys
+  on (key, salt) so a hot key's rows land on ``n_salts`` different
+  partitions instead of one straggler.  Results are salt-invariant by
+  construction — the DuckDB oracle (a plain join) is
   the proof.  The hot-key list is bounded by 1/hot_frac regardless of
   data size; it travels as one ``ray.put`` broadcast, never per batch.
 - ``q5_local_supplier`` — customer ⋈ orders ⋈ lineitem ⋈ supplier ⋈
@@ -50,6 +51,7 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Sum
 
+from lightcrawler_ray.copartition import co_partition, hot_keys
 from lightcrawler_ray.relational import _pq as _pq_default
 
 _TARGET_READ_BLOCK = 32 << 20  # 32 MiB
@@ -101,21 +103,18 @@ def skew_salted_join(sf_dir: str, partitions: int = 64, n_salts: int = 8,
     """lineitem ⋈ part on partkey → (p_brand, n_lines, revenue), with hot
     partkeys salted across ``n_salts`` partitions.
 
-    The sample pass is bounded (``sample_rows`` rows on the driver, keys
-    above ``hot_frac`` of the sample nominated — at most 1/hot_frac keys);
-    salting changes only WHERE rows meet, never the result, which is what
-    the plain-SQL oracle certifies.
+    The sample pass is bounded (the first ``sample_rows`` rows of every
+    block, keys above ``hot_frac`` of the sample nominated — at most
+    1/hot_frac keys, see ``copartition.hot_keys``); salting changes only
+    WHERE rows meet, never the result, which is what the plain-SQL oracle
+    certifies.
     """
     assert n_salts <= 16  # packed key = partkey * 16 + salt
     li = _pq(sf_dir, "lineitem",
              ["l_orderkey", "l_linenumber", "l_partkey", "l_extendedprice", "l_discount"])
     dim = _pq(sf_dir, "part", ["p_partkey", "p_brand"])
 
-    sample = li.limit(sample_rows).to_pandas()
-    counts = sample["l_partkey"].value_counts()
-    hot_min = max(2, int(len(sample) * hot_frac))
-    hot = frozenset(int(k) for k, c in counts.items() if c >= hot_min)
-    hot_ref = ray.put(hot)
+    hot_ref = ray.put(hot_keys(li, "l_partkey", sample_rows, hot_frac))
 
     mask = np.int64(n_salts - 1)
 
@@ -134,10 +133,8 @@ def skew_salted_join(sf_dir: str, partitions: int = 64, n_salts: int = 8,
         t2 = pa.table({"packed": pa.array(packed), "rev_u": pa.array(_rev_u(t)),
                        "n": pa.array(np.ones(len(key), np.int64))})
         g = pa.TableGroupBy(t2, "packed").aggregate([("rev_u", "sum"), ("n", "sum")])
-        pk = g["packed"]
         return pa.table({
-            "part": pc.cast(pc.bit_wise_and(pk, partitions - 1), pa.int32()),
-            "packed": pk, "rev_u": g["rev_u_sum"], "n": g["n_sum"],
+            "packed": g["packed"], "rev_u": g["rev_u_sum"], "n": g["n_sum"],
             "brand": pa.nulls(len(g), pa.string()),
         })
 
@@ -157,16 +154,11 @@ def skew_salted_join(sf_dir: str, partitions: int = 64, n_salts: int = 8,
         salts = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(offs, reps)
         packed = key[ridx] * 16 + salts
         return pa.table({
-            "part": pa.array((packed & (partitions - 1)).astype(np.int32)),
             "packed": pa.array(packed),
             "rev_u": pa.nulls(len(packed), pa.int64()),
             "n": pa.nulls(len(packed), pa.int64()),
             "brand": pa.array(brand[ridx].tolist(), pa.string()),
         })
-
-    both = li.map_batches(fact_partial, batch_format="pyarrow").union(
-        dim.map_batches(dim_replicate, batch_format="pyarrow")
-    )
 
     def join_partition(g: pa.Table) -> pa.Table:
         br = g.column("brand").to_numpy(zero_copy_only=False)
@@ -191,9 +183,10 @@ def skew_salted_join(sf_dir: str, partitions: int = 64, n_salts: int = 8,
         gp = pa.TableGroupBy(t2, "p_brand").aggregate([("rev_u", "sum"), ("n_lines", "sum")])
         return gp.rename_columns(["p_brand", "rev_u", "n_lines"])
 
+    both = [li.map_batches(fact_partial, batch_format="pyarrow"),
+            dim.map_batches(dim_replicate, batch_format="pyarrow")]
     agg = (
-        both.groupby("part")
-        .map_groups(join_partition, batch_format="pyarrow")
+        co_partition(both, "packed", partitions, join_partition)
         .groupby("p_brand")
         .aggregate(Sum("rev_u", alias_name="rev_u"), Sum("n_lines", alias_name="n_lines"))
     )
@@ -242,7 +235,6 @@ def q5_local_supplier(sf_dir: str, region: str = "ASIA",
         keep = np.isin(nk, nat_arr)
         ck, nk = ck[keep], nk[keep]
         return pa.table({
-            "part": pa.array((ck & (partitions - 1)).astype(np.int32)),
             "key": pa.array(ck), "nat": pa.array(nk),
             "okey": pa.nulls(len(ck), pa.int64()),
         })
@@ -253,7 +245,6 @@ def q5_local_supplier(sf_dir: str, region: str = "ASIA",
         ck = t.column("o_custkey").to_numpy(zero_copy_only=False).astype(np.int64)[keep]
         ok = t.column("o_orderkey").to_numpy(zero_copy_only=False).astype(np.int64)[keep]
         return pa.table({
-            "part": pa.array((ck & (partitions - 1)).astype(np.int32)),
             "key": pa.array(ck), "nat": pa.nulls(len(ck), pa.int64()),
             "okey": pa.array(ok),
         })
@@ -274,17 +265,13 @@ def q5_local_supplier(sf_dir: str, region: str = "ASIA",
         hit = ckey[idx] == fkey
         return pa.table({"okey": pa.array(fok[hit]), "cnat": pa.array(cnat[idx[hit]])})
 
-    s1 = (
-        cust.map_batches(cust_tag, batch_format="pyarrow")
-        .union(orders.map_batches(orders_tag, batch_format="pyarrow"))
-        .groupby("part").map_groups(join_cust, batch_format="pyarrow")
-    )
+    s1 = co_partition([cust.map_batches(cust_tag, batch_format="pyarrow"),
+                       orders.map_batches(orders_tag, batch_format="pyarrow")],
+                      "key", partitions, join_cust)
 
     # --- stage 2: (okey, cnat) ⋈ lineitem on orderkey --------------------
     def s1_tag(t: pa.Table) -> pa.Table:
-        ok = t.column("okey").to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({
-            "part": pa.array((ok & (partitions - 1)).astype(np.int32)),
             "okey": t["okey"], "cnat": t["cnat"],
             "suppkey": pa.nulls(len(t), pa.int64()),
             "rev_u": pa.nulls(len(t), pa.int64()),
@@ -293,7 +280,6 @@ def q5_local_supplier(sf_dir: str, region: str = "ASIA",
     def li_tag(t: pa.Table) -> pa.Table:
         ok = t.column("l_orderkey").to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({
-            "part": pa.array((ok & (partitions - 1)).astype(np.int32)),
             "okey": pa.array(ok), "cnat": pa.nulls(len(ok), pa.int64()),
             "suppkey": t["l_suppkey"], "rev_u": pa.array(_rev_u(t)),
         })
@@ -319,17 +305,14 @@ def q5_local_supplier(sf_dir: str, region: str = "ASIA",
         gp = pa.TableGroupBy(t2, ["suppkey", "cnat"]).aggregate([("rev_u", "sum")])
         return gp.rename_columns(["suppkey", "cnat", "rev_u"])
 
-    s2 = (
-        s1.map_batches(s1_tag, batch_format="pyarrow")
-        .union(li.map_batches(li_tag, batch_format="pyarrow"))
-        .groupby("part").map_groups(join_orders, batch_format="pyarrow")
-    )
+    s2 = co_partition([s1.map_batches(s1_tag, batch_format="pyarrow"),
+                       li.map_batches(li_tag, batch_format="pyarrow")],
+                      "okey", partitions, join_orders)
 
     # --- stage 3: partials ⋈ supplier on suppkey -------------------------
     def supp_tag(t: pa.Table) -> pa.Table:
         sk = t.column("s_suppkey").to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({
-            "part": pa.array((sk & (partitions - 1)).astype(np.int32)),
             "suppkey": pa.array(sk),
             "snat": pc.cast(t["s_nationkey"], pa.int64()),
             "cnat": pa.nulls(len(sk), pa.int64()),
@@ -339,7 +322,6 @@ def q5_local_supplier(sf_dir: str, region: str = "ASIA",
     def s2_tag(t: pa.Table) -> pa.Table:
         sk = t.column("suppkey").to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({
-            "part": pa.array((sk & (partitions - 1)).astype(np.int32)),
             "suppkey": pa.array(sk), "snat": pa.nulls(len(sk), pa.int64()),
             "cnat": t["cnat"], "rev_u": t["rev_u"],
         })
@@ -363,11 +345,9 @@ def q5_local_supplier(sf_dir: str, region: str = "ASIA",
         gp = pa.TableGroupBy(t2, "nat").aggregate([("rev_u", "sum")])
         return gp.rename_columns(["nat", "rev_u"])
 
-    partials = (
-        supp.map_batches(supp_tag, batch_format="pyarrow")
-        .union(s2.map_batches(s2_tag, batch_format="pyarrow"))
-        .groupby("part").map_groups(join_supp, batch_format="pyarrow")
-    )
+    partials = co_partition([supp.map_batches(supp_tag, batch_format="pyarrow"),
+                             s2.map_batches(s2_tag, batch_format="pyarrow")],
+                            "suppkey", partitions, join_supp)
 
     # join_supp emits <= partitions * |region nations| partial rows (bounded
     # by plan parameters, not data), so the final merge is a single-block
@@ -403,7 +383,6 @@ def semi_join_parts(sf_dir: str, partitions: int = 32,
         keys = np.unique(
             t.column("l_partkey").to_numpy(zero_copy_only=False)[keep].astype(np.int64))
         return pa.table({
-            "part": pa.array((keys & (partitions - 1)).astype(np.int32)),
             "key": pa.array(keys),
             "p_brand": pa.nulls(len(keys), pa.string()),
             "p_size": pa.nulls(len(keys), pa.int32()),
@@ -412,7 +391,6 @@ def semi_join_parts(sf_dir: str, partitions: int = 32,
     def dim_tag(t: pa.Table) -> pa.Table:
         k = t.column("p_partkey").to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({
-            "part": pa.array((k & (partitions - 1)).astype(np.int32)),
             "key": pa.array(k), "p_brand": t["p_brand"], "p_size": t["p_size"],
         })
 
@@ -435,11 +413,9 @@ def semi_join_parts(sf_dir: str, partitions: int = 32,
             "p_size": pa.array(sizes.astype(np.int32)),
         })
 
-    return (
-        li.map_batches(probe_partial, batch_format="pyarrow")
-        .union(dim.map_batches(dim_tag, batch_format="pyarrow"))
-        .groupby("part").map_groups(semi_partition, batch_format="pyarrow")
-    )
+    return co_partition([li.map_batches(probe_partial, batch_format="pyarrow"),
+                         dim.map_batches(dim_tag, batch_format="pyarrow")],
+                        "key", partitions, semi_partition)
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +431,6 @@ def scd2_intervals(sf_dir: str, partitions: int = 32) -> rd.Dataset:
     dates break by orderkey, matching the oracle's ORDER BY."""
     orders = _pq(sf_dir, "orders",
                  ["o_orderkey", "o_custkey", "o_orderstatus", "o_orderdate"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        ck = t.column("o_custkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        return t.append_column(
-            "part", pa.array((ck & (partitions - 1)).astype(np.int32)))
 
     def intervals(g: pa.Table) -> pa.Table:
         ck = g.column("o_custkey").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -484,7 +455,4 @@ def scd2_intervals(sf_dir: str, partitions: int = 32) -> rd.Dataset:
             "valid_to": valid_to,
         })
 
-    return (
-        orders.map_batches(tag, batch_format="pyarrow")
-        .groupby("part").map_groups(intervals, batch_format="pyarrow")
-    )
+    return co_partition(orders, "o_custkey", partitions, intervals)

@@ -19,6 +19,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
+from ..copartition import co_partition
 from ..functions import avcodec, hashing, imagecodec
 
 
@@ -191,8 +192,8 @@ def _keep_first(
     ds: rd.Dataset, key_cols: list[str], id_col: str
 ) -> pd.DataFrame:
     """Keep-first dedup over (key_cols → min id) with ONE coarse shuffle:
-    rows already carry ``part`` (a hash of the key mod _DEDUP_PARTITIONS);
-    within each partition a lexsort groups equal keys into runs, the run
+    rows carry ``key_crc`` (a crc32 of the key), co-partitioned mod
+    _DEDUP_PARTITIONS; within each partition a lexsort groups equal keys into runs, the run
     head is the keeper and the run length the copy count — no per-key
     Python, and only (key, id) rows ever shuffle, never payload bytes."""
 
@@ -220,7 +221,8 @@ def _keep_first(
                "n_copies": pa.array(counts.astype(np.int64))}
         )
 
-    df = ds.groupby("part").map_groups(runs, batch_format="pandas").to_pandas()
+    df = co_partition(ds, "key_crc", _DEDUP_PARTITIONS, runs,
+                      batch_format="pandas").to_pandas()
     return df.sort_values(key_cols).reset_index(drop=True)
 
 
@@ -232,8 +234,9 @@ def image_dedup_exact(images_path: str) -> pd.DataFrame:
     first image_id; ``n_copies`` rides along for the dedup report.
 
     Scale shape: the payload never shuffles — each batch reduces to
-    (part, content_md5, image_id) rows (32-byte keys), one coarse shuffle on
-    crc32(key) % P, keep-first by lexsort runs inside each partition."""
+    (key_crc, content_md5, image_id) rows (32-byte keys), one
+    ``co_partition`` on crc32(key), keep-first by lexsort runs inside each
+    partition."""
     import hashlib
     import zlib
 
@@ -244,9 +247,8 @@ def image_dedup_exact(images_path: str) -> pd.DataFrame:
             hashlib.md5(b.hex().encode()).hexdigest()
             for b in _payload_views(t.column("bytes"))
         ]
-        part = [zlib.crc32(k.encode()) % _DEDUP_PARTITIONS for k in ks]
         return pa.table({
-            "part": pa.array(part, pa.int32()),
+            "key_crc": pa.array([zlib.crc32(k.encode()) for k in ks], pa.uint32()),
             "content_md5": pa.array(ks, pa.string()),
             "image_id": t.column("image_id"),
         })
@@ -274,12 +276,9 @@ def image_pair_dedup(images_path: str) -> pd.DataFrame:
         for b in _payload_views(t.column("bytes")):
             ph.append(str(hashing.phash64(imagecodec.decode(b))))
         caps = t.column("caption").to_pylist()
-        part = [
-            zlib.crc32(f"{p}|{c}".encode()) % _DEDUP_PARTITIONS
-            for p, c in zip(ph, caps)
-        ]
+        crc = [zlib.crc32(f"{p}|{c}".encode()) for p, c in zip(ph, caps)]
         return pa.table({
-            "part": pa.array(part, pa.int32()),
+            "key_crc": pa.array(crc, pa.uint32()),
             "phash": pa.array(ph, pa.string()),
             "caption": t.column("caption"),
             "image_id": t.column("image_id"),
@@ -698,11 +697,6 @@ def image_keep_best(images_path: str, partitions: int = 32) -> rd.Dataset:
     ds = storage.read_parquet_clean(
         images_path, columns=["image_id", "w", "h", "phash"])
 
-    def tag(t: pa.Table) -> pa.Table:
-        ph = t.column("phash").to_numpy(zero_copy_only=False).astype(np.int64)
-        return t.append_column(
-            "part", pa.array((ph & (partitions - 1)).astype(np.int32)))
-
     def best(g: pa.Table) -> pa.Table:
         ph = g.column("phash").to_numpy(zero_copy_only=False).astype(np.int64)
         w = g.column("w").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -723,10 +717,7 @@ def image_keep_best(images_path: str, partitions: int = 32) -> rd.Dataset:
             "n_dups": pa.array(sizes.astype(np.int64)),
         })
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("part").map_groups(best, batch_format="pyarrow")
-    )
+    return co_partition(ds, "phash", partitions, best)
 
 
 def image_shard_plan(images_path: str, shard_bytes: int = 262144,
@@ -762,8 +753,8 @@ def image_shard_plan(images_path: str, shard_bytes: int = 262144,
         nb = pc.cast(pc.binary_length(t.column("bytes").combine_chunks()), pa.int64())
         gid = zi >> zshift
         return pa.table({
-            "gid": pa.array(gid), "part": pa.array((gid % partitions).astype(np.int32)),
-            "zkey": pa.array(zi), "image_id": t.column("image_id"), "nbytes": nb,
+            "gid": pa.array(gid), "zkey": pa.array(zi),
+            "image_id": t.column("image_id"), "nbytes": nb,
         })
 
     counts = ds.map_batches(sizes, batch_format="pyarrow")
@@ -802,7 +793,7 @@ def image_shard_plan(images_path: str, shard_bytes: int = 262144,
             "shard": pa.array(byte_offset // shard_bytes),
         })
 
-    df = counts.groupby("part").map_groups(assign, batch_format="pyarrow").to_pandas()
+    df = co_partition(counts, "gid", partitions, assign).to_pandas()
     return df.sort_values(["zkey", "image_id"]).reset_index(drop=True)
 
 
@@ -861,8 +852,7 @@ def image_curate_manifest(images_path: str, shard_bytes: int = 262144,
             for b in _payload_views(t.column("bytes"))
         ]
         out = pa.table({
-            "part": pa.array(
-                [zlib.crc32(k.encode()) % partitions for k in md5s], pa.int32()),
+            "md5_crc": pa.array([zlib.crc32(k.encode()) for k in md5s], pa.uint32()),
             "content_md5": pa.array(md5s, pa.string()),
             "image_id": t.column("image_id"),
             "w": pa.array(w), "h": pa.array(h),
@@ -878,7 +868,6 @@ def image_curate_manifest(images_path: str, shard_bytes: int = 262144,
                 "w": pa.array([], pa.int64()), "h": pa.array([], pa.int64()),
                 "phash": pa.array([], pa.int64()),
                 "nbytes": pa.array([], pa.int64()),
-                "part2": pa.array([], pa.int32()),
             })
         keys = np.asarray(g.column("content_md5").to_pylist(), dtype=str)
         ids = np.asarray(g.column("image_id").to_pylist(), dtype=str)
@@ -895,7 +884,6 @@ def image_curate_manifest(images_path: str, shard_bytes: int = 262144,
             "phash": pa.array(ph),
             "nbytes": pa.array(
                 g.column("nbytes").to_numpy(zero_copy_only=False)[pick]),
-            "part2": pa.array((ph & (partitions - 1)).astype(np.int32)),
         })
 
     def phash_best(g: pa.Table) -> pa.Table:
@@ -906,7 +894,6 @@ def image_curate_manifest(images_path: str, shard_bytes: int = 262144,
                 "n_dups": pa.array([], pa.int64()),
                 "zkey": pa.array([], pa.int64()),
                 "gid": pa.array([], pa.int64()),
-                "part3": pa.array([], pa.int32()),
             })
         ph = g.column("phash").to_numpy(zero_copy_only=False).astype(np.int64)
         w = g.column("w").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -932,15 +919,13 @@ def image_curate_manifest(images_path: str, shard_bytes: int = 262144,
             "n_dups": pa.array(sizes.astype(np.int64)),
             "zkey": pa.array(zi),
             "gid": pa.array(gid),
-            "part3": pa.array((gid % partitions).astype(np.int32)),
         })
 
-    survivors = (
-        ds.map_batches(gate_and_key, batch_format="pyarrow", batch_size=64)
-        .groupby("part").map_groups(exact_first, batch_format="pyarrow")
-        .groupby("part2").map_groups(phash_best, batch_format="pyarrow")
-        .materialize()  # consumed twice (group totals + offset assignment)
-    )
+    firsts = co_partition(
+        ds.map_batches(gate_and_key, batch_format="pyarrow", batch_size=64),
+        "md5_crc", partitions, exact_first)
+    # materialized: consumed twice (group totals + offset assignment)
+    survivors = co_partition(firsts, "phash", partitions, phash_best).materialize()
 
     gt = survivors.groupby("gid").aggregate(Sum("nbytes", alias_name="tot")).to_pandas()
     gt = gt.sort_values("gid").reset_index(drop=True)
@@ -981,5 +966,5 @@ def image_curate_manifest(images_path: str, shard_bytes: int = 262144,
             "shard": pa.array(byte_offset // shard_bytes),
         })
 
-    df = survivors.groupby("part3").map_groups(assign, batch_format="pyarrow").to_pandas()
+    df = co_partition(survivors, "gid", partitions, assign).to_pandas()
     return df.sort_values(["zkey", "image_id"]).reset_index(drop=True)

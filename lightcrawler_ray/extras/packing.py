@@ -29,6 +29,8 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from ..copartition import co_partition
+
 GROUP = 4096  # docs per prefix-sum group (driver holds one i64 per group)
 PARTITIONS = 32  # coarse shuffle width for pass 2
 
@@ -45,7 +47,6 @@ def _counts(sf_dir: str, block: int) -> rd.Dataset:
         n = [len((x or "").split()) for x in t.column("text").to_pylist()]
         return pa.table({
             "gid": pa.array(ids // GROUP, pa.int64()),
-            "part": pa.array((ids // GROUP) % PARTITIONS, pa.int32()),
             "doc_id": pa.array(ids, pa.int64()),
             "n_tokens": pa.array(n, pa.int64()),
         })
@@ -100,9 +101,5 @@ def pack_sequences(sf_dir: str, block: int = 256) -> pd.DataFrame:
             "offset_in_seq": pa.array(tok_offset % block, pa.int64()),
         })
 
-    df = (
-        counts.groupby("part")
-        .map_groups(assign, batch_format="pandas")
-        .to_pandas()
-    )
+    df = co_partition(counts, "gid", PARTITIONS, assign, batch_format="pandas").to_pandas()
     return df.sort_values("doc_id").reset_index(drop=True)

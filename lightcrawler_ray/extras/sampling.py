@@ -27,6 +27,8 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from ..copartition import co_partition
+
 _PARTITIONS = 32
 _BUCKET_BITS = 12  # 4096 prefix-sum buckets (one i64 per bucket on driver)
 
@@ -63,10 +65,8 @@ def stratified_sample(sf_dir: str, k: int = 10) -> pd.DataFrame:
         pos = np.arange(len(ids)) - np.maximum.accumulate(
             np.where(new_run, np.arange(len(ids)), 0))
         keep = pos < k
-        part = np.array([zlib.crc32(s.encode()) % _PARTITIONS for s in srcs[keep]],
-                        dtype=np.int32)
         return pa.table({
-            "part": pa.array(part),
+            "source_crc": pa.array([zlib.crc32(s.encode()) for s in srcs[keep]], pa.uint32()),
             "source": pa.array(srcs[keep].astype(str), pa.string()),
             "doc_id": pa.array(ids[keep]),
             "h": pa.array(h[keep]),
@@ -89,13 +89,10 @@ def stratified_sample(sf_dir: str, k: int = 10) -> pd.DataFrame:
             "rank": pa.array((pos[keep] + 1).astype(np.int64)),
         })
 
-    df = (
-        _docs(sf_dir, ["doc_id", "source"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(final, batch_format="pandas")
-        .to_pandas()
-    )
+    df = co_partition(
+        _docs(sf_dir, ["doc_id", "source"]).map_batches(partial, batch_format="pyarrow"),
+        "source_crc", _PARTITIONS, final, batch_format="pandas",
+    ).to_pandas()
     return df.sort_values(["source", "rank"]).reset_index(drop=True)
 
 
@@ -112,7 +109,6 @@ def shuffle_ranks(sf_dir: str) -> pd.DataFrame:
         h = _h64(ids)
         bucket = (h >> np.uint64(64 - _BUCKET_BITS)).astype(np.int64)
         return pa.table({
-            "part": pa.array((bucket % _PARTITIONS).astype(np.int32)),
             "bucket": pa.array(bucket),
             "doc_id": pa.array(ids),
             "h": pa.array(h),
@@ -143,11 +139,7 @@ def shuffle_ranks(sf_dir: str) -> pd.DataFrame:
             "shuffle_rank": pa.array(off[run_id] + within),
         })
 
-    df = (
-        keys.groupby("part")
-        .map_groups(assign, batch_format="pandas")
-        .to_pandas()
-    )
+    df = co_partition(keys, "bucket", _PARTITIONS, assign, batch_format="pandas").to_pandas()
     return df.sort_values("doc_id").reset_index(drop=True)
 
 

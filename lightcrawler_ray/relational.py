@@ -23,6 +23,8 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
+from .copartition import co_partition
+
 
 def _pq(sf_dir: str, table: str, columns: list[str] | None = None) -> rd.Dataset:
     # prune at the read: only requested columns leave storage
@@ -276,16 +278,12 @@ def tumbling_window(sf_dir: str, partitions: int = 32) -> rd.Dataset:
     Key cardinality ≈ row count here ((user, hour) is nearly unique), so a
     map-side partial combiner reduces nothing and a fine-keyed
     ``groupby(["user_id","hour_bucket"]).aggregate(...)`` pays a full
-    sort-based exchange over every row.  Instead: ONE shuffle on the coarse
-    key ``user_id % P`` (every (user, hour) group lands whole in exactly one
-    partition), then the in-partition aggregate is a numpy lexsort +
+    sort-based exchange over every row.  Instead: ``co_partition`` on
+    ``user_id`` (every (user, hour) group lands whole in exactly one of P
+    partitions), then the in-partition aggregate is a numpy lexsort +
     segmented ``reduceat`` — P Python calls total, same shape as
     ``sessionize``."""
     ds = _pq(sf_dir, "events", ["user_id", "ts", "value"])
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = pc.cast(pc.bit_wise_and(t["user_id"], partitions - 1), pa.int32())
-        return t.append_column("part", part)
 
     def agg_partition(g: pa.Table) -> pa.Table:
         u = g.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -313,11 +311,7 @@ def tumbling_window(sf_dir: str, partitions: int = 32) -> rd.Dataset:
             ),
         })
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(agg_partition, batch_format="pyarrow")
-    )
+    return co_partition(ds, "user_id", partitions, agg_partition)
 
 
 def quantiles_price(sf_dir: str, qs: tuple[float, ...] = (0.5, 0.95, 0.99)) -> pd.DataFrame:
@@ -366,10 +360,6 @@ def topk_per_group(sf_dir: str, k: int = 3, partitions: int = 32) -> rd.Dataset:
     Ties: value desc, event_id asc."""
     ds = _pq(sf_dir, "events", ["event_id", "user_id", "value"])
 
-    def add_part(t: pa.Table) -> pa.Table:
-        part = pc.cast(pc.bit_wise_and(t["user_id"], partitions - 1), pa.int32())
-        return t.append_column("part", part)
-
     def head_partition(g: pa.Table) -> pa.Table:
         u = g.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
         v = g.column("value").to_numpy(zero_copy_only=False)
@@ -389,11 +379,7 @@ def topk_per_group(sf_dir: str, k: int = 3, partitions: int = 32) -> rd.Dataset:
             "rank": pa.array(rank[keep].astype(np.int64), pa.int64()),
         })
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(head_partition, batch_format="pyarrow")
-    )
+    return co_partition(ds, "user_id", partitions, head_partition)
 
 
 def range_join_events(sf_dir: str, window_us: int = 7_200_000_000,
@@ -403,7 +389,7 @@ def range_join_events(sf_dir: str, window_us: int = 7_200_000_000,
     and ``b != a`` (forward-looking co-occurrence; at equal timestamps both
     orderings emit — deterministic, no id inequality in the bound).
 
-    Scale shape — one shuffle on the coarse ``user % P`` key co-locates each
+    Scale shape — ``co_partition`` on the user co-locates each
     user's events, then the per-partition interval match is fully
     vectorized: rows sorted by (key, ts, id); each row's window START is its
     equal-(key, ts) run start (a segment-start propagation, no search); the
@@ -419,9 +405,7 @@ def range_join_events(sf_dir: str, window_us: int = 7_200_000_000,
             "key": t["user_id"],
             "ts": pc.cast(t["ts"], pa.int64()),
             "eid": t["event_id"],
-        }).append_column(
-            "part", pc.cast(pc.bit_wise_and(t["user_id"], partitions - 1), pa.int32())
-        )
+        })
 
     def match_partition(g: pa.Table) -> pa.Table:
         empty = pa.table({
@@ -466,12 +450,9 @@ def range_join_events(sf_dir: str, window_us: int = 7_200_000_000,
             "user_id": pa.array(key[a_idx], pa.int64()),
         })
 
-    return (
-        _pq(sf_dir, "events", ["event_id", "user_id", "ts"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(match_partition, batch_format="pyarrow")
-    )
+    tagged = _pq(sf_dir, "events", ["event_id", "user_id", "ts"]).map_batches(
+        tag, batch_format="pyarrow")
+    return co_partition(tagged, "key", partitions, match_partition)
 
 
 def hopping_window(sf_dir: str, window_us: int = 3_600_000_000,
@@ -482,7 +463,7 @@ def hopping_window(sf_dir: str, window_us: int = 3_600_000_000,
 
     Scale shape — the window assignment is a map-side flat-map (np.repeat +
     tile, rows × window/hop, no Python loop), then the aggregate reuses the
-    ``tumbling_window`` pattern: ONE shuffle on ``user % P`` and an
+    ``tumbling_window`` pattern: ``co_partition`` on the user and an
     in-partition lexsort + segmented reduceat.  Sums accumulate in integer
     cents so the result is combine-order independent."""
     k = window_us // hop_us
@@ -505,7 +486,6 @@ def hopping_window(sf_dir: str, window_us: int = 3_600_000_000,
             "user_id": pa.array(uu, pa.int64()),
             "win_start": pa.array(starts, pa.int64()),
             "cents": pa.array(np.repeat(v, k), pa.int64()),
-            "part": pa.array((uu & (partitions - 1)).astype(np.int32), pa.int32()),
         })
 
     def agg_partition(g: pa.Table) -> pa.Table:
@@ -528,11 +508,8 @@ def hopping_window(sf_dir: str, window_us: int = 3_600_000_000,
             ),
         })
 
-    return (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(agg_partition, batch_format="pyarrow")
-    )
+    return co_partition(ds.map_batches(explode, batch_format="pyarrow"), "user_id",
+                        partitions, agg_partition)
 
 
 def asof_latest_order(sf_dir: str, partitions: int = 32) -> rd.Dataset:
@@ -541,9 +518,9 @@ def asof_latest_order(sf_dir: str, partitions: int = 32) -> rd.Dataset:
     event time (ties on order time broken by highest o_orderkey; inner —
     events with no prior order drop).
 
-    Scale shape — distributed sort-merge: both sides are tagged with the
-    same coarse key ``user % P`` and UNIONed, so ONE shuffle co-partitions
-    them (every customer's events and orders land whole in one partition);
+    Scale shape — distributed sort-merge: ``co_partition`` keys both sides
+    on the user/customer (every customer's events and orders land whole in
+    one partition);
     within the partition the match is pure numpy: orders pre-sorted by
     (key, ts, okey), both sides lexsorted together with orders ordered
     before events at equal (key, ts) (inclusive <=), then one segmented
@@ -561,9 +538,7 @@ def asof_latest_order(sf_dir: str, partitions: int = 32) -> rd.Dataset:
             "price": pa.array(np.zeros(n, np.float64)),
             "eid": t["event_id"],
             "side": pa.array(np.ones(n, np.int8)),
-        }).append_column(
-            "part", pc.cast(pc.bit_wise_and(t["user_id"], partitions - 1), pa.int32())
-        )
+        })
 
     def tag_orders(t: pa.Table) -> pa.Table:
         n = t.num_rows
@@ -574,9 +549,7 @@ def asof_latest_order(sf_dir: str, partitions: int = 32) -> rd.Dataset:
             "price": t["o_totalprice"],
             "eid": pa.array(np.zeros(n, np.int64)),
             "side": pa.array(np.zeros(n, np.int8)),
-        }).append_column(
-            "part", pc.cast(pc.bit_wise_and(t["o_custkey"], partitions - 1), pa.int32())
-        )
+        })
 
     def merge_partition(g: pa.Table) -> pa.Table:
         side = g.column("side").to_numpy(zero_copy_only=False)
@@ -626,9 +599,7 @@ def asof_latest_order(sf_dir: str, partitions: int = 32) -> rd.Dataset:
     od = _pq(
         sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]
     ).map_batches(tag_orders, batch_format="pyarrow")
-    return ev.union(od).groupby("part").map_groups(
-        merge_partition, batch_format="pyarrow"
-    )
+    return co_partition([ev, od], "key", partitions, merge_partition)
 
 
 def sessionize(sf_dir: str, partitions: int = 32) -> rd.Dataset:
@@ -636,16 +607,12 @@ def sessionize(sf_dir: str, partitions: int = 32) -> rd.Dataset:
 
     Scale shape — hash-repartition by key, then vectorize WITHIN the
     partition: a per-user ``map_groups`` costs one Python call per user
-    (~2 ms each → hours at 10⁷ users), so the groupby key is the COARSE
-    partition ``hash(user) % P`` instead.  One shuffle, P Python calls
+    (~2 ms each → hours at 10⁷ users), so ``co_partition`` groups by the
+    COARSE partition of the user instead.  One shuffle, P Python calls
     total; each call owns complete users and counts session starts with a
     lexsort + segmented reduce — per-event work is pure numpy.  P sizes to
     ~2× the cluster's cores (rows per call = n/P)."""
     ds = _pq(sf_dir, "events", ["user_id", "ts"])
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = pc.cast(pc.bit_wise_and(t["user_id"], partitions - 1), pa.int32())
-        return t.append_column("part", part)
 
     def count_partition(g: pa.Table) -> pa.Table:
         u = g.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -662,11 +629,7 @@ def sessionize(sf_dir: str, partitions: int = 32) -> rd.Dataset:
             "n_sessions": pa.array(np.add.reduceat(starts.astype(np.int64), bounds), pa.int64()),
         })
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(count_partition, batch_format="pyarrow")
-    )
+    return co_partition(ds, "user_id", partitions, count_partition)
 
 
 def latest_per_key(sf_dir: str, partitions: int = 32) -> rd.Dataset:
@@ -680,7 +643,7 @@ def latest_per_key(sf_dir: str, partitions: int = 32) -> rd.Dataset:
     numpy), so the groupby shuffle moves at most |keys ∩ batch| rows per
     batch rather than every event — the combiner pattern ``pricing_summary``
     uses, applied to an argmax instead of a sum.  The same run-end pick
-    then merges the partials inside each coarse ``user % P`` partition
+    then merges the partials inside each ``co_partition`` user partition
     (P Python calls total, complete users per call)."""
     ds = _pq(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"])
 
@@ -712,18 +675,11 @@ def latest_per_key(sf_dir: str, partitions: int = 32) -> rd.Dataset:
         keep = pa.array(order[run_end])
         return g.take(keep)
 
-    def add_part(t: pa.Table) -> pa.Table:
-        part = pc.cast(pc.bit_wise_and(t["user_id"], partitions - 1), pa.int32())
-        return t.append_column("part", part)
-
-    return (
-        ds.map_batches(pick_last, batch_format="pyarrow")
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(merge_partition, batch_format="pyarrow")
-        .select_columns(["user_id", "last_ts_us", "last_event_id",
-                         "last_event_type", "last_value"])
-    )
+    return co_partition(
+        ds.map_batches(pick_last, batch_format="pyarrow"), "user_id", partitions,
+        merge_partition,
+    ).select_columns(["user_id", "last_ts_us", "last_event_id",
+                      "last_event_type", "last_value"])
 
 
 def quantiles_by_group(sf_dir: str, qs: tuple[float, ...] = (0.5, 0.95, 0.99)) -> pd.DataFrame:
@@ -1088,14 +1044,10 @@ def json_field_stats(sf_dir: str) -> rd.Dataset:
 def running_total(sf_dir: str, partitions: int = 32) -> rd.Dataset:
     """Per-user running total (SUM OVER ROWS UNBOUNDED PRECEDING, ordered by
     ts then event_id) — the windowed prefix sum of a feature pipeline.
-    Same coarse-partition shape as sessionize: ONE shuffle on
-    hash(user) % P, then a lexsort + segmented cumsum inside each partition
+    Same ``co_partition`` shape as sessionize (one shuffle on the user),
+    then a lexsort + segmented cumsum inside each partition
     (per-event work is pure numpy; cents-exact int64)."""
     ds = _pq(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = pc.cast(pc.bit_wise_and(t["user_id"], partitions - 1), pa.int32())
-        return t.append_column("part", part)
 
     def cumsum_partition(g: pa.Table) -> pa.Table:
         u = g.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1115,11 +1067,7 @@ def running_total(sf_dir: str, partitions: int = 32) -> rd.Dataset:
             "running_value": pa.array((cs - seg_base) / 100.0, pa.float64()),
         })
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(cumsum_partition, batch_format="pyarrow")
-    )
+    return co_partition(ds, "user_id", partitions, cumsum_partition)
 
 
 def running_max_drawdown(sf_dir: str, partitions: int = 32) -> rd.Dataset:
@@ -1134,10 +1082,6 @@ def running_max_drawdown(sf_dir: str, partitions: int = 32) -> rd.Dataset:
     ds = _pq(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
     _SEG = np.int64(1) << 42  # > any |cents| span; ~2e6 users/partition max
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = pc.cast(pc.bit_wise_and(t["user_id"], partitions - 1), pa.int32())
-        return t.append_column("part", part)
 
     def cummax_partition(g: pa.Table) -> pa.Table:
         u = g.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1157,11 +1101,7 @@ def running_max_drawdown(sf_dir: str, partitions: int = 32) -> rd.Dataset:
             "drawdown": pa.array((run_max - v).astype(np.float64) / 100.0, pa.float64()),
         })
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(cummax_partition, batch_format="pyarrow")
-    )
+    return co_partition(ds, "user_id", partitions, cummax_partition)
 
 
 def event_gaps(sf_dir: str, partitions: int = 32) -> rd.Dataset:
@@ -1169,10 +1109,6 @@ def event_gaps(sf_dir: str, partitions: int = 32) -> rd.Dataset:
     the first), ordered by (ts, event_id) — the lag/lead window primitive,
     coarse-partitioned and vectorized like running_total."""
     ds = _pq(sf_dir, "events", ["event_id", "user_id", "ts"])
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = pc.cast(pc.bit_wise_and(t["user_id"], partitions - 1), pa.int32())
-        return t.append_column("part", part)
 
     def lag_partition(g: pa.Table) -> pa.Table:
         u = g.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1189,11 +1125,7 @@ def event_gaps(sf_dir: str, partitions: int = 32) -> rd.Dataset:
             "gap_us": pa.array(gap, pa.int64()),
         })
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(lag_partition, batch_format="pyarrow")
-    )
+    return co_partition(ds, "user_id", partitions, lag_partition)
 
 
 def pivot_event_counts(sf_dir: str) -> rd.Dataset:
@@ -1252,12 +1184,12 @@ def order_revenue_join(sf_dir: str, partitions: int = 64) -> rd.Dataset:
 
     Scale shape: lineitem first collapses per (batch, orderkey) — the
     partial-agg combiner — so the join input is one row per order per
-    block, not one per line.  Both sides then tag part = orderkey & (P-1),
-    union into one dataset, and a single groupby(part) co-locates matching
-    keys; inside a partition the probe is a numpy searchsorted, and only
-    O(priorities) partial rows leave each partition.  ONE shuffle total,
-    no driver-side table.  Revenue accumulates in exact 10^-4-dollar int64
-    units (same as pricing_summary)."""
+    block, not one per line.  ``co_partition`` unions both sides keyed on
+    orderkey and co-locates matching keys; inside a partition the probe is
+    a numpy searchsorted, and only O(priorities) partial rows leave each
+    partition.  ONE shuffle total, no driver-side table.  Revenue
+    accumulates in exact 10^-4-dollar int64 units (same as
+    pricing_summary)."""
     li = _pq(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
     orders = _pq(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
 
@@ -1271,7 +1203,6 @@ def order_revenue_join(sf_dir: str, partitions: int = 64) -> rd.Dataset:
         g = pa.TableGroupBy(t2, "key").aggregate([("rev_u", "sum")])
         k = g["key"]
         return pa.table({
-            "part": pc.cast(pc.bit_wise_and(k, partitions - 1), pa.int32()),
             "key": k, "rev_u": g["rev_u_sum"],
             "priority": pa.nulls(len(g), pa.string()),
         })
@@ -1279,14 +1210,9 @@ def order_revenue_join(sf_dir: str, partitions: int = 64) -> rd.Dataset:
     def orders_tag(t: pa.Table) -> pa.Table:
         k = t["o_orderkey"]
         return pa.table({
-            "part": pc.cast(pc.bit_wise_and(k, partitions - 1), pa.int32()),
             "key": k, "rev_u": pa.nulls(len(t), pa.int64()),
             "priority": t["o_orderpriority"],
         })
-
-    both = li.map_batches(li_partial, batch_format="pyarrow").union(
-        orders.map_batches(orders_tag, batch_format="pyarrow")
-    )
 
     def join_partition(g: pa.Table) -> pa.Table:
         pr = g.column("priority").to_numpy(zero_copy_only=False)
@@ -1310,9 +1236,10 @@ def order_revenue_join(sf_dir: str, partitions: int = 64) -> rd.Dataset:
         )
         return gp.rename_columns(["o_orderpriority", "rev_u", "n_orders"])
 
+    both = [li.map_batches(li_partial, batch_format="pyarrow"),
+            orders.map_batches(orders_tag, batch_format="pyarrow")]
     agg = (
-        both.groupby("part")
-        .map_groups(join_partition, batch_format="pyarrow")
+        co_partition(both, "key", partitions, join_partition)
         .groupby("o_orderpriority")
         .aggregate(Sum("rev_u", alias_name="rev_u"), Sum("n_orders", alias_name="n_orders"))
     )
@@ -1331,10 +1258,6 @@ def moving_avg(sf_dir: str, window: int = 5, partitions: int = 32) -> rd.Dataset
     the window sum is a cumsum difference with the window start clamped to
     the user segment (pure numpy, cents-exact)."""
     ds = _pq(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = pc.cast(pc.bit_wise_and(t["user_id"], partitions - 1), pa.int32())
-        return t.append_column("part", part)
 
     def mavg_partition(g: pa.Table) -> pa.Table:
         u = g.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1356,11 +1279,7 @@ def moving_avg(sf_dir: str, window: int = 5, partitions: int = 32) -> rd.Dataset
             "mavg": pa.array(ws.astype(np.float64) / 100.0 / n, pa.float64()),
         })
 
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(mavg_partition, batch_format="pyarrow")
-    )
+    return co_partition(ds, "user_id", partitions, mavg_partition)
 
 
 def interval_overlap_join(sf_dir: str, partitions: int = 32) -> rd.Dataset:
@@ -1393,7 +1312,6 @@ def interval_overlap_join(sf_dir: str, partitions: int = 32) -> rd.Dataset:
         return pa.table({
             "key": pa.array(cust), "side": pa.array(side),
             "okey": pa.array(okey), "s": pa.array(s), "e": pa.array(e),
-            "part": pa.array((cust & (partitions - 1)).astype(np.int32)),
         })
 
     def match_partition(g: pa.Table) -> pa.Table:
@@ -1439,12 +1357,9 @@ def interval_overlap_join(sf_dir: str, partitions: int = 32) -> rd.Dataset:
             "b_orderkey": pa.array(okey[b_idx]),
         })
 
-    return (
-        _pq(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderstatus", "o_orderdate"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(match_partition, batch_format="pyarrow")
-    )
+    tagged = _pq(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderstatus",
+                                    "o_orderdate"]).map_batches(tag, batch_format="pyarrow")
+    return co_partition(tagged, "key", partitions, match_partition)
 
 
 def outlier_flags(sf_dir: str) -> rd.Dataset:
@@ -1523,11 +1438,6 @@ def order_line_concat(sf_dir: str, partitions: int = 64) -> rd.Dataset:
     (orderkey, linenumber) is total for this table; a table with duplicate
     sort keys would need one more tie-break column to stay deterministic."""
 
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "part", pc.cast(pc.bit_wise_and(t["l_orderkey"], partitions - 1), pa.int32())
-        )
-
     def concat_partition(g: pa.Table) -> pa.Table:
         if g.num_rows == 0:
             return pa.table({
@@ -1552,12 +1462,8 @@ def order_line_concat(sf_dir: str, partitions: int = 64) -> rd.Dataset:
             "line_sig": pc.binary_join(la, "-"),
         })
 
-    return (
-        _pq(sf_dir, "lineitem", ["l_orderkey", "l_linenumber"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(concat_partition, batch_format="pyarrow")
-    )
+    return co_partition(_pq(sf_dir, "lineitem", ["l_orderkey", "l_linenumber"]),
+                        "l_orderkey", partitions, concat_partition)
 
 
 # (column, canonicalization) pairs profiled by profile_columns: strings keep
@@ -1685,8 +1591,8 @@ def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
     with exactly TWO co-partitioned shuffles and a k-bounded driver merge.
 
     Scale shape: stage A co-partitions customer (filtered to the segment)
-    and orders (filtered o_orderdate < cut) on ``custkey & (P-1)`` — the
-    ``order_revenue_join`` union+groupby(part)+searchsorted hash join, no
+    and orders (filtered o_orderdate < cut) on custkey — the
+    ``order_revenue_join`` ``co_partition`` + searchsorted hash join, no
     broadcast (both sides scale with SF).  Stage B re-keys the surviving
     orders on ``orderkey`` and co-partitions them with lineitem partials
     (revenue pre-summed per (batch, orderkey) in exact 10^-4-dollar int64
@@ -1704,7 +1610,6 @@ def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
         t = t.filter(pc.equal(t["c_mktsegment"], segment))
         k_ = t["c_custkey"]
         return pa.table({
-            "part": pc.cast(pc.bit_wise_and(k_, partitions - 1), pa.int32()),
             "key": k_,
             "okey": pa.nulls(len(t), pa.int64()),
             "odate": pa.nulls(len(t), pa.int64()),
@@ -1717,8 +1622,6 @@ def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
         t = t.filter(pa.array(od < _Q3_CUT_US))
         od = od[od < _Q3_CUT_US]
         return pa.table({
-            "part": pc.cast(pc.bit_wise_and(t["o_custkey"], partitions - 1),
-                            pa.int32()),
             "key": t["o_custkey"],
             "okey": t["o_orderkey"],
             "odate": pa.array(od, pa.int64()),
@@ -1740,15 +1643,13 @@ def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
             "opri": g.column("opri").take(pa.array(keep)),
         })
 
-    building_orders = (
-        cust.map_batches(cust_tag, batch_format="pyarrow")
-        .union(orders.map_batches(orders_tag, batch_format="pyarrow"))
-        .groupby("part").map_groups(semi_join_orders, batch_format="pyarrow")
-    )
+    building_orders = co_partition(
+        [cust.map_batches(cust_tag, batch_format="pyarrow"),
+         orders.map_batches(orders_tag, batch_format="pyarrow")],
+        "key", partitions, semi_join_orders)
 
     def orders_rekey(t: pa.Table) -> pa.Table:
         return pa.table({
-            "part": pc.cast(pc.bit_wise_and(t["okey"], partitions - 1), pa.int32()),
             "key": t["okey"],
             "rev_u": pa.nulls(len(t), pa.int64()),
             "odate": t["odate"], "opri": t["opri"],
@@ -1767,7 +1668,6 @@ def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
         g = pa.TableGroupBy(t2, "key").aggregate([("rev_u", "sum")])
         kk = g["key"]
         return pa.table({
-            "part": pc.cast(pc.bit_wise_and(kk, partitions - 1), pa.int32()),
             "key": kk, "rev_u": g["rev_u_sum"],
             "odate": pa.nulls(len(g), pa.int64()),
             "opri": pa.nulls(len(g), pa.string()),
@@ -1799,12 +1699,11 @@ def q3_shipping_priority(sf_dir: str, segment: str = "BUILDING",
             "o_orderpriority": pa.array(op[idx][top].tolist(), pa.string()),
         })
 
-    cand = (
-        building_orders.map_batches(orders_rekey, batch_format="pyarrow")
-        .union(li.map_batches(li_partial, batch_format="pyarrow"))
-        .groupby("part").map_groups(join_topk, batch_format="pyarrow")
-        .to_pandas()  # ≤ k × P rows
-    )
+    cand = co_partition(
+        [building_orders.map_batches(orders_rekey, batch_format="pyarrow"),
+         li.map_batches(li_partial, batch_format="pyarrow")],
+        "key", partitions, join_topk,
+    ).to_pandas()  # ≤ k × P rows
     order = np.lexsort((cand["l_orderkey"].to_numpy(np.int64),
                         cand["o_orderdate_us"].to_numpy(np.int64),
                         -cand["rev_u"].to_numpy(np.int64)))[:k]

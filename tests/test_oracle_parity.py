@@ -11,6 +11,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from tools.sweep_oracle import _norm, _type_gaps
+
 SF_DIR = "/root/testdata/sf0.001"
 TABLES = (
     "region nation customer supplier part orders lineitem events documents embeddings"
@@ -26,18 +28,6 @@ def _to_pandas(res) -> pd.DataFrame:
     if isinstance(res, pa.Table):
         return res.to_pandas()
     return res
-
-
-def _normalize(df: pd.DataFrame) -> pd.DataFrame:
-    df = df.reindex(sorted(df.columns), axis=1).copy()
-    for c in df.columns:
-        if df[c].dtype == object:
-            df[c] = df[c].astype(str)
-        elif np.issubdtype(df[c].dtype, np.floating):
-            df[c] = df[c].round(6)
-        elif np.issubdtype(df[c].dtype, np.integer) or df[c].dtype == bool:
-            df[c] = df[c].astype("int64")
-    return df.sort_values(list(df.columns), kind="stable").reset_index(drop=True)
 
 
 @pytest.fixture(scope="module")
@@ -61,8 +51,11 @@ def _pairs():
 
 @pytest.mark.parametrize("name,qfn,sql", _pairs(), ids=[p[0] for p in _pairs()])
 def test_query_matches_oracle(ray_session, oracle_con, name, qfn, sql):
-    ray_df = _normalize(_to_pandas(qfn(SF_DIR)))
-    ora_df = _normalize(oracle_con.sql(sql).df())
+    raw_ray, raw_ora = _to_pandas(qfn(SF_DIR)), oracle_con.sql(sql).df()
+    # _norm coerces ints/bools to int64; the raw dtype kinds must agree first
+    gaps = _type_gaps(raw_ray, raw_ora)
+    assert not gaps, f"{name}: dtype kinds differ: {gaps}"
+    ray_df, ora_df = _norm(raw_ray), _norm(raw_ora)
     assert list(ray_df.columns) == list(ora_df.columns), (
         f"{name}: columns {list(ray_df.columns)} vs {list(ora_df.columns)}"
     )

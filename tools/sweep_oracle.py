@@ -10,7 +10,9 @@ the r04 red row (`key_skew_gini`) was a DuckDB HUGEINT (`sum()` over
 BIGINT) surfacing as float64 against an int64 engine column: values
 equal after coercion, hashes unequal under the driver's stricter gate.
 `_norm`'s int64 coercion hides exactly that class of bug, so it is now
-reported separately as `TYPE` (and fails the sweep).
+reported separately as `TYPE` (and fails the sweep); `--json` records it
+per query as `dtype_ok`.  `tests/test_oracle_parity.py` asserts the same
+`_type_gaps` rule at sf0.001.
 
 Usage:  python tools/sweep_oracle.py [--json OUT.json] [sf_dir] [query ...]
         (defaults: /root/testdata/sf0.01, all queries)
@@ -108,9 +110,8 @@ def main() -> int:
                 continue
             raw_oracle = con.sql(o[name]).df()
             a, b = _norm(df), _norm(raw_oracle)
-            bad: list[str] = []
-            for gap in _type_gaps(df, raw_oracle):
-                bad.append(f"TYPE {gap}")
+            gaps = _type_gaps(df, raw_oracle)
+            bad = [f"TYPE {gap}" for gap in gaps]
             if list(a.columns) != list(b.columns):
                 bad.append(f"cols {list(a.columns)} vs {list(b.columns)}")
             elif len(a) != len(b):
@@ -126,12 +127,12 @@ def main() -> int:
             if bad:
                 fails.append((name, bad))
                 records[name] = {"status": "fail", "bad": bad, "rows": len(a),
-                                 "sec": round(time.time() - t0, 2)}
+                                 "dtype_ok": not gaps, "sec": round(time.time() - t0, 2)}
                 print(f"{name}: FAIL {bad} ({time.time() - t0:.1f}s)", flush=True)
             else:
                 n_ok += 1
                 records[name] = {"status": "ok", "rows": len(a),
-                                 "sec": round(time.time() - t0, 2)}
+                                 "dtype_ok": True, "sec": round(time.time() - t0, 2)}
                 print(f"{name}: ok {len(a)} rows ({time.time() - t0:.1f}s)", flush=True)
         except Exception as ex:  # noqa: BLE001 — sweep must survive one bad query
             fails.append((name, repr(ex)[:200]))
