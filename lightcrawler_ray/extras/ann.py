@@ -276,14 +276,13 @@ def train_ivf_centroids(sf_dir: str, n_lists: int = 16, iters: int = 3) -> np.nd
                 "cnt": pa.array(cnt, pa.int64()),
             })
 
-        parts = ds.map_batches(partial_sums, batch_format="pyarrow").to_arrow_refs()
+        rows = ds.map_batches(partial_sums, batch_format="pyarrow").take_all()
         sums = np.zeros_like(centroids)
         cnts = np.zeros(kk, dtype=np.int64)
-        for t in ray.get(parts):
-            if t.num_rows == 0:
-                continue
-            sums += np.array(t.column("vsum").to_pylist(), dtype=np.float64)
-            cnts += np.array(t.column("cnt").to_pylist(), dtype=np.int64)
+        if rows:
+            ids = np.array([r["list_id"] for r in rows])
+            np.add.at(sums, ids, np.array([r["vsum"] for r in rows], dtype=np.float64))
+            np.add.at(cnts, ids, np.array([r["cnt"] for r in rows], dtype=np.int64))
         nonempty = cnts > 0
         centroids = centroids.copy()
         centroids[nonempty] = _normalize_rows(sums[nonempty] / cnts[nonempty, None])
