@@ -42,10 +42,13 @@ the seen shards' ``gate_parts`` — and round size only picks WHERE they run.
 A round of at most ``spec.local_round_threshold`` candidates is filtered
 in-process on the driver (no task hop); a larger one in remote filter tasks.
 A gate that leaves at most that many winners is ranked on the driver in
-Arrow and fetched by ``_local_tail``; a larger one goes through the block
-graph above, whose scheduling cost only pays off at size.  At 10^10-URL
-scale the big rounds are the only ones that matter; the threshold just stops
-the head and tail from paying cluster prices.
+Arrow, and ``_local_tail`` hands it to the fetch pool as one block and runs
+the block graph's split (``_split_project``) and content flow over the
+pooled output in one piece; a larger one goes through the block graph
+above, whose scheduling cost only pays off at size.  Every round fetches on
+the pool, so the workers' client state (cookies, DNS cache) is the crawl's
+only one.  At 10^10-URL scale the big rounds are the only ones that matter;
+the threshold just stops the head and tail from paying cluster prices.
 
 Checkpoint per epoch: frontier, links lineage, images, docs, metrics, seen
 snapshot, then an atomic done-marker — resume restores the seen shards and
@@ -76,7 +79,8 @@ import ray.data as rd
 
 from ..functions import hashing
 from ..functions.benchtimer import Benchmark
-from ..stages.fetch import OUT_SCHEMA, SyntheticFetchExtract, load_fixture_tables
+from ..stages.fetch import FRONTIER_COLS, OUT_SCHEMA, load_fixture_tables, split_outputs
+from ..stages.fetchpool import FetchPool
 from ..stages.frontier import CandidateFilter, CrawlSpec, _empty_candidates
 from ..stages.politeness import HostClock, SchedulePool, split_sched_parts
 from ..state.pool import StatePool
@@ -162,17 +166,17 @@ class CrawlJob:
         pages, images = load_fixture_tables(pages_path, images_path)
         self.pages_ref = ray.put(pages)
         self.images_ref = ray.put(images)
-        from ..stages.fetch import make_fetcher
-
-        self._local_fetcher = make_fetcher(
-            self.pages_ref, self.images_ref, self._fetch_kwargs()
+        self.fetch_pool = FetchPool(
+            spec.fetch_concurrency, self.pages_ref, self.images_ref, self._fetch_kwargs()
         )
-        # robots rules (T5/T7): pre-parsed sidecar, or fetched+parsed
-        # robots.txt bodies through the same fetch primitive (S4)
+        # robots rules (T5/T7): pre-parsed sidecar, or the seed hosts'
+        # robots.txt fetched+parsed by a pool worker (S4,
+        # PHPCrawlerRobotsTxtParser.class.php:29-151) — hosts discovered
+        # mid-crawl are covered by the lazy mode
         if not spec.respect_robots:
             self.robots = {}
         elif spec.robots_source == "fetch":
-            self.robots = self._fetch_robots()
+            self.robots = ray.get(self.fetch_pool.workers[0].robots.remote(self._seed_hostports))
         elif spec.robots_source == "lazy":
             self.robots = {}  # discovered per host inside the politeness shards
         else:
@@ -191,11 +195,6 @@ class CrawlJob:
         )
         self._lazy_robots = self.sched if lazy else None
         self.docsim = SimIndex(self.state)
-        from ..stages.fetchpool import FetchPool
-
-        self.fetch_pool = FetchPool(
-            spec.fetch_concurrency, self.pages_ref, self.images_ref, self._fetch_kwargs()
-        )
         # pre-spawn the task workers the round tasks will run on, so the
         # first distributed round doesn't pay worker startup latency; ditto
         # the state actors, each with its partitions built and its one-time
@@ -219,7 +218,7 @@ class CrawlJob:
         wr = _rank_sched_write_block.options(num_returns=1 + P).remote(
             wm, 0, 0, warm_dir, 0, P
         )
-        ws = _split_sink.options(num_returns=8 + 3 * kc).remote(
+        ws = _split_sink.options(num_returns=_SPLIT_META + 3 * kc).remote(
             OUT_SCHEMA.empty_table(), warm_dir, 0, kc
         )
         ray.get([wf[0], wm, wr[0], ws[0]])
@@ -244,25 +243,6 @@ class CrawlJob:
                 anchor_scope(self.spec, u)
                 return
 
-    def _fetch_robots(self) -> dict[str, dict]:
-        """S4 — fetch + parse ``http://<host>/robots.txt`` for every seed
-        host through the engine's own fetch primitive
-        (PHPCrawlerRobotsTxtParser.class.php:29-151).  Hosts discovered
-        mid-crawl would fetch lazily inside a per-host politeness stage at
-        cluster scale; seed hosts cover the follow-mode-restricted crawls
-        this engine runs."""
-        from ..functions import robotstxt
-
-        out: dict[str, dict] = {}
-        for h, port in self._seed_hostports:
-            hp = h if port in (0, 80, 443) else f"{h}:{port}"
-            status, _, body, _, _ = self._local_fetcher._fetch_raw(f"http://{hp}/robots.txt")
-            if status == 200 and body:
-                rules = robotstxt.parse_robots_txt(str(body, "utf-8", "replace"))
-                if rules["disallow"] or rules["delay_ms"]:
-                    out[h] = rules
-        return out
-
     def _fetch_kwargs(self) -> dict:
         s = self.spec
         return dict(
@@ -286,6 +266,15 @@ class CrawlJob:
             spill_dir=s.spill_dir,
         )
 
+    def _batch_size(self, n: int) -> int:
+        """Adaptive fetch batch size: a small round must still spread across
+        the whole pool (at batch_size=256 a 469-URL round is TWO tasks no
+        matter how many workers exist) — target fetch_batches_per_worker
+        batches per worker so the depth-2 stealing queue stays non-empty."""
+        s = self.spec
+        return max(16, min(s.fetch_batch_size,
+                           -(-n // (s.fetch_batches_per_worker * self.fetch_pool.k))))
+
     def _derive_seed_scope(self) -> None:
         from ..functions import urltools as ut
 
@@ -298,8 +287,7 @@ class CrawlJob:
                 domains.append(str(p["domain"]))
                 paths.append(str(p["path"]))
                 hostports.append((str(p["host"]), int(p["port"])))
-        # (host, port) pairs for the robots fetch — the reference requests
-        # {scheme}://{host}:{port}/robots.txt (PHPCrawlerRobotsTxtParser)
+        # (host, port) origins for the robots prefetch
         self._seed_hostports = tuple(dict.fromkeys(hostports))
         self.spec.seed_hosts = tuple(dict.fromkeys(hosts))
         self.spec.seed_domains = tuple(dict.fromkeys(domains))
@@ -492,8 +480,11 @@ class CrawlJob:
     def _local_tail(self, front: pa.Table, epoch: int, ed: str, gate: tuple[int, int]):
         """Fetch + sinks for a driver-ranked round: ``front`` is the gated,
         budget-capped frontier with ``enqueue_seq`` assigned, in pop order.
-        Skips the block graph's rank/split/finalize task machinery — the
-        BFS head and tail rounds' fixed cost at every pool size."""
+        The pool fetches it as one block; the pooled output goes through the
+        block graph's split (``_split_project``) and content flow as one
+        block, and the driver writes the sinks — no rank, split or finalize
+        tasks, the BFS head and tail rounds' fixed cost at every pool
+        size."""
         spec = self.spec
         n_frontier = front.num_rows
         if n_frontier == 0:
@@ -509,47 +500,22 @@ class CrawlJob:
         )
         # the ledger walk overlaps the fetch; gathered before the done marker
         sched_futs = self.sched.schedule_round(sched_dir, bool(spec.priority_rules), [parts])
-
-        frontier_cols = front.select(["url", "url_md5", "host", "depth", "priority",
-                                      "enqueue_seq", "referer", "linktext"])
-        if n_frontier > 64:
-            # driver-ranked frontier, pooled fetch: the round is small enough
-            # that the block graph isn't worth it, but the fetch compute is
-            bpw = self.spec.fetch_batches_per_worker
-            bs = max(16, min(self.spec.fetch_batch_size,
-                             -(-n_frontier // (bpw * self.fetch_pool.k))))
-            out_refs = self.fetch_pool.submit([ray.put(frontier_cols)], [n_frontier], bs)
-            out = pa.concat_tables(ray.get(out_refs))
-        else:
-            from ..stages.fetch import OutBuilder
-
-            ob = OutBuilder()
-            for fr in frontier_cols.to_pylist():
-                self._local_fetcher._process_into(fr, ob)
-            out = ob.build()
-        kinds = {
-            k: out.filter(pc.equal(out.column("kind"), k))
-            for k in ("fetch", "link", "image", "doc", "attach")
-        }
-        self._note_content(kinds["fetch"].column("status").to_pylist(),
-                           kinds["fetch"].column("url").to_pylist(),
-                           kinds["fetch"].column("enqueue_seq").to_pylist())
+        out_refs = self.fetch_pool.submit([ray.put(front.select(FRONTIER_COLS))], [n_frontier],
+                                          self._batch_size(n_frontier))
+        kc = self.content_seen.k
+        (fetch_meta, img_meta, doc_meta, att_meta, images, docs, atts, links,
+         *kparts) = _split_project(pa.concat_tables(ray.get(out_refs)), kc)
+        self._note_content(fetch_meta.column("status").to_pylist(),
+                           fetch_meta.column("url").to_pylist(),
+                           fetch_meta.column("enqueue_seq").to_pylist())
         # content verdicts run through the SAME sharded flow as the
         # distributed path (a one-block round) — local/dist parity by
         # construction, and the content-shard / sim-shard state stays
         # consistent across path switches
-        images = CrawlJob._image_rows(kinds["image"])
-        docs = _doc_rows(kinds["doc"])
-        atts = _att_rows(kinds["attach"])
-        img_meta = images.select(["enqueue_seq", "url_md5", "image_id", "phash"]).cast(_IMG_META_SCHEMA)
-        doc_meta = docs.select(["enqueue_seq", "doc_id", "doc_ori_no", "simhash"]).cast(_DOC_META_SCHEMA)
-        att_meta = atts.select(["enqueue_seq", "doc_id"]).cast(_ATT_META_SCHEMA)
-        kc = self.content_seen.k
+        img_parts, doc_parts, att_parts = ([[p] for p in kparts[i * kc:(i + 1) * kc]]
+                                           for i in range(3))
         img_kept, dup_ref, doc_keep, att_w = self._content_flow(
-            1, [img_meta], [doc_meta],
-            [[p] for p in _content_key_parts(img_meta, "url_md5", kc)],
-            [[p] for p in _content_key_parts(doc_meta, "doc_id", kc)],
-            [[p] for p in _content_key_parts(att_meta, "doc_id", kc)],
+            1, [img_meta], [doc_meta], img_parts, doc_parts, att_parts
         )
         images = _with_near_dup(images, ray.get(img_kept[0]), ray.get(dup_ref))
         storage.commit_table(images, os.path.join(ed, "images"))
@@ -559,8 +525,7 @@ class CrawlJob:
         storage.commit_table(_hydrate_spilled(atts.take(pa.array(arows, pa.int64()))),
                              os.path.join(ed, "attachments"))
 
-        links = kinds["link"].select(_LINK_COLS)
-        metrics = _metrics_from_table(kinds["fetch"], images.num_rows, epoch, *gate)
+        metrics = _metrics_from_table(fetch_meta, images.num_rows, epoch, *gate)
         self.bytes_total += int(metrics.column("bytes_received")[0].as_py())
         storage.commit_table(metrics, os.path.join(ed, "metrics"))
         self._drain_pending()
@@ -677,13 +642,7 @@ class CrawlJob:
         self._mark("rank+sched_launch")
         links_dir = os.path.join(ed, "links")
         os.makedirs(links_dir, exist_ok=True)
-        # adaptive batch size: a small round must still spread across the
-        # whole pool (at batch_size=256 a 469-URL round is TWO tasks no
-        # matter how many workers exist) — target fetch_batches_per_worker
-        # batches per worker so the depth-2 stealing queue stays non-empty
-        bs = max(16, min(spec.fetch_batch_size,
-                         -(-n_frontier
-                           // (spec.fetch_batches_per_worker * self.fetch_pool.k))))
+        bs = self._batch_size(n_frontier)
         take_l = [int(c) for c in take]
         nb = sum((c + bs - 1) // bs for c in take_l)
         split_refs: list = [None] * nb
@@ -704,14 +663,14 @@ class CrawlJob:
         pf_keymat: list = [None] * nb
 
         def _on_batch_done(i: int, ref) -> None:
-            rets = _split_sink.options(num_returns=8 + 3 * kc).remote(
+            rets = _split_sink.options(num_returns=_SPLIT_META + 3 * kc).remote(
                 ref, links_dir, i, kc
             )
             split_refs[i] = rets
             if speculate_next:
                 f = _filter_extract.options(num_returns=1 + k).remote(
                     spec, self.robots_ref, k, -1, self._lazy_robots,
-                    rets[7],  # this batch's link block
+                    rets[_SPLIT_META - 1],  # this batch's link block
                 )
                 pf_filt[i] = f[0]
                 pf_keymat[i] = f[1:]
@@ -719,10 +678,10 @@ class CrawlJob:
         self.fetch_pool.submit_dynamic(ranked, take_l, bs, on_done=_on_batch_done)
         cols = list(zip(*split_refs))
         (fetch_metas, img_metas, doc_metas, att_metas,
-         img_fulls, doc_fulls, att_fulls, link_refs) = cols[:8]
-        img_parts = cols[8:8 + kc]            # [shard][block]
-        doc_parts = cols[8 + kc:8 + 2 * kc]
-        att_parts = cols[8 + 2 * kc:8 + 3 * kc]
+         img_fulls, doc_fulls, att_fulls, link_refs) = cols[:_SPLIT_META]
+        img_parts = cols[_SPLIT_META:_SPLIT_META + kc]            # [shard][block]
+        doc_parts = cols[_SPLIT_META + kc:_SPLIT_META + 2 * kc]
+        att_parts = cols[_SPLIT_META + 2 * kc:_SPLIT_META + 3 * kc]
         # content dedup verdicts (D2/D3/D4, J2/J3) — sharded off the driver:
         # key parts flow worker → content shard → finalize by ref; the driver
         # only wires the task graph (no verdict rows, no barrier)
@@ -1140,24 +1099,19 @@ def _rank_sched_write_block(
     return (t, *sched)
 
 
-@ray.remote
-def _split_sink(out: pa.Table, links_dir: str, part: int, kc: int):
-    """Split a fetch-output block by kind: write the links checkpoint part,
-    project the small per-kind metadata AND its per-content-shard gate parts
-    (so the dedup verdicts never touch the driver), hand back the full
-    image/doc/attachment tables for the finalize writers plus the links
-    table itself (the next round consumes the ref directly — no re-read).
-    ``num_returns=8 + 3*kc`` at the call site."""
-    import pyarrow.parquet as pq
+_SPLIT_META = 8  # _split_project's returns before the 3*kc content key parts
 
-    _limit_arrow_threads()
-    kinds = {
-        k: out.filter(pc.equal(out.column("kind"), k))
-        for k in ("fetch", "link", "image", "doc", "attach")
-    }
+
+def _split_project(out: pa.Table, kc: int) -> tuple:
+    """Split a fetch-output table by kind and project it for the sinks —
+    every round's split: ``_split_sink`` runs it per fetch batch,
+    ``_local_tail`` once over a driver-ranked round's pooled output.
+    Returns the fetch, image, doc and attachment metas, the full
+    image/doc/attachment tables for the writers, the links table, then the
+    metas' per-content-shard gate parts (kc image, kc doc, kc attachment),
+    so the dedup verdicts never need the payload rows."""
+    kinds = split_outputs(out)
     links = kinds["link"].select(_LINK_COLS)
-    if links.num_rows:
-        pq.write_table(links, os.path.join(links_dir, f"part-{part:05d}.parquet"))
     f = kinds["fetch"]
     fetch_meta = pa.table(
         {
@@ -1184,6 +1138,22 @@ def _split_sink(out: pa.Table, links_dir: str, part: int, kc: int):
             *_content_key_parts(img_meta, "url_md5", kc),
             *_content_key_parts(doc_meta, "doc_id", kc),
             *_content_key_parts(att_meta, "doc_id", kc))
+
+
+@ray.remote
+def _split_sink(out: pa.Table, links_dir: str, part: int, kc: int):
+    """``_split_project`` as a task over one fetch batch
+    (``num_returns=_SPLIT_META + 3*kc`` at the call site) that also writes
+    the batch's links checkpoint part; the next round consumes the links
+    ref directly — no re-read."""
+    import pyarrow.parquet as pq
+
+    _limit_arrow_threads()
+    rets = _split_project(out, kc)
+    links = rets[_SPLIT_META - 1]
+    if links.num_rows:
+        pq.write_table(links, os.path.join(links_dir, f"part-{part:05d}.parquet"))
+    return rets
 
 
 def _content_key_parts(meta: pa.Table, key_col: str, k: int) -> list[dict]:

@@ -21,10 +21,7 @@ from __future__ import annotations
 import pyarrow as pa
 import ray
 
-from .fetch import OutBuilder
-
-_FRONTIER_COLS = ["url", "url_md5", "host", "depth", "priority", "enqueue_seq",
-                  "referer", "linktext"]
+from .fetch import fetch_robots, make_fetcher
 
 
 @ray.remote(num_cpus=1)
@@ -37,20 +34,21 @@ class FetchWorker:
     2026-08-20: 75% reads +20-30% URLs/s over the earlier half-CPUs rule at
     both 8 and 32 CPUs)."""
     def __init__(self, pages_ref, images_ref, fetch_kwargs: dict):
-        from .fetch import make_fetcher
-
         self.impl = make_fetcher(pages_ref, images_ref, fetch_kwargs)
 
     def process(self, block: pa.Table, start: int, end: int) -> pa.Table:
-        # per-URL work is inherently row-wise (each row is an independent
-        # HTTP transaction); the row-dict conversion measures 1.1 ms per
-        # 256-row batch ≈ 0.09% of batch wall — not worth a zip-of-arrays
-        # rewrite (measured 2026-08-20, BASELINE.md round-4 notes)
-        ob = OutBuilder()
-        sl = block.slice(start, end - start)
-        for fr in sl.select(_FRONTIER_COLS).to_pylist():
-            self.impl._process_into(fr, ob)
-        return ob.build()
+        return self.impl(block.slice(start, end - start))
+
+    def robots(self, hostports) -> dict[str, dict]:
+        """Rules per host for ``(host, port)`` origins (the seed-host
+        prefetch, ``robots_source="fetch"``), fetched with this worker's
+        client so its cookies and DNS cache see the robots requests too."""
+        out: dict[str, dict] = {}
+        for h, port in hostports:
+            rules = fetch_robots(self.impl, h, port)
+            if rules:
+                out[h] = rules
+        return out
 
 
 class FetchPool:

@@ -122,10 +122,11 @@ class CrawlSpec:
     # batch can't migrate), so 4 keeps half the round stealable
     fetch_batches_per_worker: int = 4
     # rounds of at most this many candidate rows are filtered on the driver,
-    # and rounds whose gate leaves at most this many winners are ranked and
-    # fetched from the driver — the same steps either way (adaptive
-    # execution, see pipelines/crawl.py); 0 sends every round through the
-    # remote filter tasks and the block graph
+    # and rounds whose gate leaves at most this many winners are ranked on
+    # the driver, fetched by the pool as one block and sunk from the driver
+    # — the same steps either way (adaptive execution, see
+    # pipelines/crawl.py); 0 sends every round through the remote filter
+    # tasks and the block graph
     local_round_threshold: int = 4096
     # checkpoint the seen shards every K epochs (resume re-enters at the last
     # snapshotted epoch; K>1 trades resume work for per-round driver time)
@@ -147,19 +148,24 @@ class CandidateFilter:
         self.follow_res = [re.compile(r) for r in spec.url_follow_regexes]
         self.prio_res = [(re.compile(r), lvl) for r, lvl in spec.priority_rules]
         self.robots = ray.get(robots_ref) if robots_ref is not None else {}
-        # lazy robots (S4 at scale): a callable hosts → rules, backed by the
-        # politeness shards; None = static broadcast rules only
+        # lazy robots (S4 at scale): a callable (host, port) origins → rules
+        # per host, backed by the politeness shards; None = static broadcast
+        # rules only
         self.robots_lookup = None
         self._robots_checked: set[str] = set()
 
-    def _lazy_robots(self, hosts: list[str]) -> None:
-        """Fetch rules for hosts this batch sees for the first time — one
-        shard call per round per filter task, answered from the shard's
-        cache after a host's first sight anywhere in the crawl."""
-        missing = [h for h in dict.fromkeys(hosts) if h and h not in self._robots_checked]
+    def _lazy_robots(self, hosts: list[str], ports: list[int]) -> None:
+        """Fetch rules for hosts this batch sees for the first time, from
+        the port of each host's first URL — one shard call per round per
+        filter task, answered from the shard's cache after a host's first
+        sight anywhere in the crawl."""
+        missing: dict[str, int] = {}
+        for h, port in zip(hosts, ports):
+            if h and h not in self._robots_checked:
+                missing.setdefault(h, port)
         if missing:
             self._robots_checked.update(missing)
-            self.robots = {**self.robots, **self.robots_lookup(missing)}
+            self.robots = {**self.robots, **self.robots_lookup(list(missing.items()))}
 
     def __call__(self, t: pa.Table, redirect_only: bool = False,
                  content_seq: int = -1) -> pa.Table:
@@ -189,7 +195,7 @@ class CandidateFilter:
         parts = [ut.split_url(u) if u else None for u in urls]
         hosts = [str(p["host"]) if p else "" for p in parts]
         if getattr(self, "robots_lookup", None) is not None:
-            self._lazy_robots(hosts)
+            self._lazy_robots(hosts, [int(p["port"]) if p else 0 for p in parts])
         valid = np.fromiter((p is not None for p in parts), dtype=bool, count=len(parts))
         url_ok = np.fromiter(
             (p is not None

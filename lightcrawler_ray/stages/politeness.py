@@ -126,21 +126,25 @@ class ScheduleShard:
         self.robots_ttl_s = robots_ttl_s
 
     # -- lazy per-host robots (S4 at north_rule scale) ----------------------
-    def robots_for(self, hosts: list[str]) -> dict[str, dict]:
-        """Rules for hosts, fetching+parsing ``http://<host>/robots.txt``
-        through the engine's own fetch primitive the first time a host is
-        seen (and again after ``robots_ttl_s``).  The shard also owns these
-        hosts' politeness clocks (same hash), so a Crawl-delay takes effect
-        for the host's very first scheduled round."""
+    def robots_for(self, hostports: list[tuple[str, int]]) -> dict[str, dict]:
+        """Rules per host for ``(host, port)`` origins, fetching+parsing the
+        origin's robots.txt (``fetch.fetch_robots``) the first time a host
+        is seen (and again after ``robots_ttl_s``).  The shard also owns
+        these hosts' politeness clocks (same hash), so a Crawl-delay takes
+        effect for the host's very first scheduled round."""
         import time as _time
 
         out: dict[str, dict] = {}
-        for h in dict.fromkeys(hosts):
+        for h, port in dict.fromkeys(hostports):
             now = _time.time()
             ts = self._robots_ts.get(h)
             if ts is None or (self.robots_ttl_s is not None and now - ts > self.robots_ttl_s):
                 self._robots_ts[h] = now
-                rules = self._fetch_robots(h)
+                from .fetch import fetch_robots, make_fetcher
+
+                if self._fetcher is None:
+                    self._fetcher = make_fetcher(*self._fetch_ctx)
+                rules = fetch_robots(self._fetcher, h, port)
                 if rules:
                     self.clock.robots[h] = rules
                 else:
@@ -149,21 +153,6 @@ class ScheduleShard:
             if r:
                 out[h] = r
         return out
-
-    def _fetch_robots(self, host: str) -> dict | None:
-        if self._fetcher is None:
-            from .fetch import make_fetcher
-
-            pages_ref, images_ref, kw = self._fetch_ctx
-            self._fetcher = make_fetcher(pages_ref, images_ref, kw)
-        from ..functions import robotstxt
-
-        status, _, body, _, _ = self._fetcher._fetch_raw(f"http://{host}/robots.txt")
-        if status == 200 and body:
-            rules = robotstxt.parse_robots_txt(str(body, "utf-8", "replace"))
-            if rules["disallow"] or rules["delay_ms"]:
-                return rules
-        return None
 
     def schedule_parts(self, out_path: str, use_priority: bool, *parts) -> int:
         """Concatenate this shard's parts (one per block, already in seq
@@ -224,12 +213,13 @@ class SchedulePool(Partitioned):
                            *[row[s] for row in part_matrix])
                 for s in range(self.p)]
 
-    def robots_for(self, hosts: list[str]) -> dict[str, dict]:
-        """Robots rules for ``hosts``, each asked of the partition that owns
-        it (``ScheduleShard.robots_for``: fetched on first sight)."""
+    def robots_for(self, hostports: list[tuple[str, int]]) -> dict[str, dict]:
+        """Robots rules per host for ``(host, port)`` origins, each asked of
+        the partition that owns the host (``ScheduleShard.robots_for``:
+        fetched on first sight)."""
         futs = []
         for s in range(self.p):
-            hs = [h for h in hosts if host_shard(h, self.p) == s]
+            hs = [hp for hp in hostports if host_shard(hp[0], self.p) == s]
             if hs:
                 futs.append(self._call(s, "robots_for", hs))
         merged: dict = {}

@@ -1,6 +1,7 @@
 """What ``perfbench`` takes from ``bench.py``: the width-1 host-capacity
 probe and the VM's busy and steal counters, read on every benchmark run; and
-``bench.py`` itself, which takes no arguments."""
+``bench.py`` itself, which takes no arguments.  Also the engine names the
+benchmark's trace leg (``perfbench.replay``) reads off a finished crawl."""
 
 import hashlib
 import os
@@ -100,3 +101,30 @@ def test_bench_rejects_arguments():
     )
     assert p.returncode == 2
     assert "usage:" in p.stderr
+
+
+def test_trace_replay_counts_every_fetched_url(ray_session, tmp_path):
+    # the ``--trace 1`` leg: replay a finished crawl layer by layer through
+    # the fetcher, the fetch pool and the kind split, then read the job's
+    # own phase marks
+    import pyarrow.parquet as pq
+
+    from lightcrawler_ray.pipelines.crawl import CrawlJob
+    from lightcrawler_ray.sources import synth
+    from lightcrawler_ray.stages.frontier import CrawlSpec
+    from perfbench import replay
+    from perfbench.trace import Tracer
+
+    paths = synth.ensure_fixtures(
+        synth.GraphParams(n_pages=120, n_hosts=4, n_images=40, out_degree=6, n_seeds=8),
+        root=str(tmp_path / "fixtures"))
+    spec = CrawlSpec(max_depth=2, follow_mode=1, seen_shards=2, fetch_concurrency=1)
+    job = CrawlJob(spec, pq.read_table(paths["seeds"]), paths["pages"], paths["images"],
+                   paths["robots"], str(tmp_path / "job"))
+    summary = job.run(max_rounds=10)
+    job.shutdown()
+    layers = replay.replay(job, Tracer("contract"), str(tmp_path / "replay"))
+    layers.update(replay.crawl_phase_metrics(job, summary))
+    assert summary["fetched"] > 0
+    assert layers["fetch.urls"] == summary["fetched"]
+    assert layers["crawl.epochs"] == summary["epochs"]

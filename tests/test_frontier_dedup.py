@@ -29,13 +29,13 @@ def _reference_filter(filt: CandidateFilter, t: pa.Table, redirect_only: bool = 
         return _empty_candidates()
     urls = [ut.canonicalize(u) or "" for u in t.column("url").to_pylist()]
     if getattr(filt, "robots_lookup", None) is not None:
-        hosts_seen: dict[str, None] = {}
+        origins: dict[str, int] = {}  # host → port of its first URL
         for u in urls:
             if u:
-                hosts_seen.setdefault(ut.host_of(u))
-        missing = [h for h in hosts_seen if h not in filt._robots_checked]
+                origins.setdefault(ut.host_of(u), int(ut.split_url(u)["port"]))
+        missing = [(h, port) for h, port in origins.items() if h not in filt._robots_checked]
         if missing:
-            filt._robots_checked.update(missing)
+            filt._robots_checked.update(h for h, _ in missing)
             filt.robots = {**filt.robots, **filt.robots_lookup(missing)}
     n = len(urls)
     linktexts = t.column("linktext").to_pylist() if "linktext" in t.column_names else [""] * n
@@ -224,9 +224,9 @@ def test_filter_matches_reference_on_hostile_rows(rules, content_seq):
 def test_filter_matches_reference_in_lazy_robots_mode():
     calls = []
 
-    def lookup(hosts):
-        calls.append(list(hosts))
-        return {h: _ROBOTS[h] for h in hosts if h in _ROBOTS}
+    def lookup(origins):
+        calls.append(list(origins))
+        return {h: _ROBOTS[h] for h, _ in origins if h in _ROBOTS}
 
     spec = CrawlSpec(**_BASE_SPEC)
     t = _hostile(HOST)

@@ -69,6 +69,13 @@ class _Handler(http.server.BaseHTTPRequestHandler):
                 '<a href="/files/report.pdf">附件</a>'
                 '</body></html>'
             ).encode())
+        elif p == "/fanout.html":
+            # 70 pages (all 404) plus the cookie-gated page: one round of 71
+            self._send(200, (
+                "<html><body>"
+                + "".join(f'<a href="/fan/{i}.html">{i}</a>' for i in range(70))
+                + '<a href="/private/secret.html">secret</a></body></html>'
+            ).encode())
         elif p == "/a.html":
             self._send(200, _doc("甲页", "甲页包含与众不同的第一号正文材料。"))
         elif p == "/target.html":
@@ -252,23 +259,24 @@ def _empty_fixture_paths(tmp_path) -> dict[str, str]:
     return paths
 
 
-def _run_http_crawl(tmp_path, server, job_name: str, **spec_kw):
-    """Run the full engine against the live server; returns (stats,
-    fetched-url set, url → title docs dict)."""
+def _run_http_crawl(tmp_path, server, job_name: str, seeds=("/",), **spec_kw):
+    """Run the full engine against the live server from the ``seeds`` paths;
+    returns (stats, fetched-url set, url → title docs dict)."""
     from lightcrawler_ray.pipelines.crawl import CrawlJob
     from lightcrawler_ray.stages.frontier import CrawlSpec
 
     _Handler.flaky_counts.clear()
     paths = _empty_fixture_paths(tmp_path)
-    spec = CrawlSpec(
-        fetcher="http", max_depth=2, follow_mode=2, robots_source="fetch",
-        seen_shards=2, fetch_concurrency=1, local_round_threshold=4096,
-        redirects_till_content=False, **spec_kw,
-    )
+    spec = CrawlSpec(**{
+        **dict(fetcher="http", max_depth=2, follow_mode=2, robots_source="fetch",
+               seen_shards=2, fetch_concurrency=1, local_round_threshold=4096,
+               redirects_till_content=False),
+        **spec_kw,
+    })
     seeds = pa.table({
-        "url": pa.array([f"http://{server}/"]),
-        "depth": pa.array([0], pa.int32()),
-        "priority": pa.array([0], pa.int32()),
+        "url": pa.array([f"http://{server}{p}" for p in seeds]),
+        "depth": pa.array([0] * len(seeds), pa.int32()),
+        "priority": pa.array([0] * len(seeds), pa.int32()),
     })
     job = CrawlJob(spec, seeds, paths["pages"], paths["images"], paths["robots"],
                    str(tmp_path / job_name))
@@ -307,6 +315,37 @@ def test_crawl_over_real_http(ray_session, tmp_path, server):
     assert not any("/blocked/" in u for u in fetched), "fetched robots.txt must gate"
     assert s["retries"] >= 2, "flaky page retries re-issued over the wire"
     assert s["documents_received"] >= 4
+
+
+def test_lazy_robots_over_http_reads_the_origin_port(ray_session, tmp_path, server):
+    """Lazy robots against an origin on a non-default port: the politeness
+    partition asks that port for /robots.txt, so its Disallow gates."""
+    _, fetched, docs = _run_http_crawl(tmp_path, server, "lazyjob", robots_source="lazy")
+    base = f"http://{server}"
+    assert f"{base}/a.html" in docs
+    assert not any("/blocked/" in u for u in fetched), "lazy robots.txt must gate"
+
+
+def test_client_state_shared_by_small_and_large_rounds(ray_session, tmp_path, server):
+    """One fetch client per worker, whatever the round size: the Set-Cookie
+    page comes in a 2-URL round, the cookie-gated page in the 71-URL round
+    after it, and the gated page's doc is written."""
+    from lightcrawler_ray import storage
+
+    _, fetched, docs = _run_http_crawl(tmp_path, server, "cookiejob",
+                                       seeds=("/sub/setcookie.html", "/fanout.html"))
+    base = f"http://{server}"
+    rounds = {}
+    job_dir = tmp_path / "cookiejob"
+    for d in sorted(os.listdir(job_dir)):
+        fdir = os.path.join(job_dir, d, "frontier")
+        t = storage.load_table(fdir) if os.path.isdir(fdir) else None
+        if t is not None and t.num_columns:
+            urls = t.column("url").to_pylist()
+            rounds.update({u: len(urls) for u in urls})
+    assert rounds[f"{base}/sub/setcookie.html"] <= 64
+    assert rounds[f"{base}/private/secret.html"] > 64
+    assert f"{base}/private/secret.html" in docs, "the cookie must reach the gated page"
 
 
 # ---------------------------------------------------------------------------
