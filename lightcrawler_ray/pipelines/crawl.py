@@ -11,10 +11,12 @@ Each round (epoch):
                     (one fused call per shard)     blocks + cross-round gate T1,
                                                    deterministic min-rank
                                                    winners; only COUNTS hit the driver
-                  ─ _rank_sched_write_block      enqueue_seq = FIFO pop order (O1) —
-                    (no sort: blocks arrive        link blocks are emitted in rank
-                    in rank order by                order, so ranking is offset
-                    construction)                  arithmetic; budget cap A2 likewise
+                  ─ _rank_block                  every winner numbered offset +
+                    (no sort: blocks arrive        arange (O1) — link blocks are
+                    in rank order by               emitted in (parent_seq, link_idx)
+                    construction)                  order; the request budget A2 keeps
+                                                   the top winners by (priority desc,
+                                                   enqueue_seq) from per-block counts
                   ─ politeness partitions        per-host crawl-delay schedule (T7),
                     (hash(host) partitions)        ledger walk off the driver
                   ─ persistent fetch pool        fused fetch+extract — bodies never
@@ -38,17 +40,18 @@ actor.
 Adaptive execution: a BFS crawl has a characteristic frontier profile — a few
 huge middle rounds flanked by tiny head/tail rounds (seed fan-out, redirect
 chains).  Every round runs the same steps — the ``_filter_and_split`` filter,
-the seen shards' ``gate_parts`` — and round size only picks WHERE they run.
-A round of at most ``spec.local_round_threshold`` candidates is filtered
-in-process on the driver (no task hop); a larger one in remote filter tasks.
-A gate that leaves at most that many winners is ranked on the driver in
-Arrow, and ``_local_tail`` hands it to the fetch pool as one block and runs
-the block graph's split (``_split_project``) and content flow over the
-pooled output in one piece; a larger one goes through the block graph
-above, whose scheduling cost only pays off at size.  Every round fetches on
-the pool, so the workers' client state (cookies, DNS cache) is the crawl's
-only one.  At 10^10-URL scale the big rounds are the only ones that matter;
-the threshold just stops the head and tail from paying cluster prices.
+the seen shards' ``gate_parts``, the ``_rank_block`` rank — and round size
+only picks WHERE they run.  A round of at most ``spec.local_round_threshold``
+candidates is filtered in-process on the driver (no task hop); a larger one
+in remote filter tasks.  A gate that leaves at most that many winners is
+merged into one block and ranked in-process; ``_local_tail`` hands it to the
+fetch pool as one block and runs the block graph's split (``_split_project``)
+and content flow over the pooled output in one piece.  A larger one goes
+through the block graph above, whose scheduling cost only pays off at size.
+Every round fetches on the pool, so the workers' client state (cookies, DNS
+cache) is the crawl's only one.  At 10^10-URL scale the big rounds are the
+only ones that matter; the threshold just stops the head and tail from
+paying cluster prices.
 
 Checkpoint per epoch: frontier, links lineage, images, docs, metrics, seen
 snapshot, then an atomic done-marker — resume restores the seen shards and
@@ -58,9 +61,9 @@ outputs are partitioned directories so a 256-node run can skip finished work.
 Skew (SURVEY.md §4 / north_rule): hot hosts cannot unbalance this plan —
 fetch work is partitioned by ROW RANGES (round-robin over the pool,
 host-agnostic), the seen shards key on url_md5 (uniform by construction), the
-rank sort keys on sequence numbers (uniform), and per-host rate is bounded by
-the politeness ledger regardless of partition shape.  The one host-keyed
-structure, the ledger, is O(#hosts) state, not O(rows).  The Zipf-skewed
+rank is per-block offset arithmetic (no key at all), and per-host rate is
+bounded by the politeness ledger regardless of partition shape.  The one
+host-keyed structure, the ledger, is O(#hosts) state, not O(rows).  The Zipf-skewed
 fixture (host 0 owns ~1/H_n of pages) runs through the same parity suite.
 """
 
@@ -74,14 +77,14 @@ import time
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
-import ray.data as rd
 
 from ..functions import hashing
 from ..functions.benchtimer import Benchmark
 from ..stages.fetch import FRONTIER_COLS, OUT_SCHEMA, load_fixture_tables, split_outputs
 from ..stages.fetchpool import FetchPool
-from ..stages.frontier import CandidateFilter, CrawlSpec, _empty_candidates
+from ..stages.frontier import CandidateFilter, CrawlSpec
 from ..stages.politeness import HostClock, SchedulePool, split_sched_parts
 from ..state.pool import StatePool
 from ..state.seenset import SeenSet, key_parts, md5hex_to_u64_pairs
@@ -101,8 +104,6 @@ _ATT_COLS = ["url", "url_md5", "referer", "att_ext", "att_type", "doc_id",
 
 
 def load_robots(robots_path: str) -> dict[str, dict]:
-    import pyarrow.parquet as pq
-
     t = pq.read_table(robots_path)
     return {
         h: {"delay_ms": d, "disallow": tuple(dis)}
@@ -214,9 +215,9 @@ class CrawlJob:
         wf = _filter_extract.options(num_returns=1 + k).remote(
             spec, self.robots_ref, k, -1, (), _empty_links_table()
         )
-        wm = _merge_winner_blocks.remote([0], [0], wf[0])
+        wm = _merge_winner_task.remote(0, wf[0])
         wr = _rank_sched_write_block.options(num_returns=1 + P).remote(
-            wm, 0, 0, warm_dir, 0, P
+            wm, 0, None, warm_dir, 0, P
         )
         ws = _split_sink.options(num_returns=_SPLIT_META + 3 * kc).remote(
             OUT_SCHEMA.empty_table(), warm_dir, 0, kc
@@ -330,7 +331,7 @@ class CrawlJob:
         self.bench.stop("final_drain")
         return self.summary()
 
-    def _resume_point(self) -> tuple[int, "rd.Dataset | pa.Table", int | None]:
+    def _resume_point(self) -> tuple[int, "list | pa.Table", int | None]:
         done = sorted(
             int(d.split("=")[1])
             for d in os.listdir(self.job_dir)
@@ -360,11 +361,12 @@ class CrawlJob:
         self.sched.restore(snaps.get("hosts", {}))
         if snaps.get("docsim"):
             self.docsim.restore(snaps["docsim"])
+        # the links checkpoint's parts in name order are its blocks in
+        # (parent_seq, link_idx) order, the order the next rank numbers in
         links_dir = os.path.join(self._epoch_dir(last), "links")
-        if storage.is_complete(links_dir):
-            cand = storage.read_dataset(links_dir, empty_schema=_empty_links_table().schema)
-        else:
-            cand = _empty_links_table()
+        parts = sorted(f for f in os.listdir(links_dir) if f.endswith(".parquet")
+                       ) if storage.is_complete(links_dir) else []
+        cand = [_read_part.remote(os.path.join(links_dir, f)) for f in parts]
         return last + 1, cand, meta.get("links", None)
 
     # ------------------------------------------------------------------
@@ -377,18 +379,20 @@ class CrawlJob:
     def _round(self, candidates, epoch: int, n_hint: int | None):
         """One round: candidate filter, seen gate, then rank, fetch, sinks.
 
-        Every round filters through ``_filter_and_split`` and gates through
-        the seen shards' ``gate_parts``; round size only picks where the
-        steps run.  A round of at most ``local_round_threshold`` candidates
-        is filtered in-process (unless the previous round already
-        speculated its filter tasks), a larger one in remote tasks.  A gate
-        that leaves at most that many winners is ranked on the driver, a
-        larger one goes through the block graph (``_round_graph``).
+        Every round filters through ``_filter_and_split``, gates through
+        the seen shards' ``gate_parts`` and ranks through ``_rank_block``;
+        round size only picks where the steps run.  A round of at most
+        ``local_round_threshold`` candidates is filtered in-process (unless
+        the previous round already speculated its filter tasks), a larger
+        one in remote tasks.  A gate that leaves at most that many winners
+        is ranked in-process as one block (``_local_tail``), a larger one
+        in block-graph tasks (``_round_graph``).  Either way every winner
+        is numbered before the request budget keeps its top rows.
 
-        ``candidates`` may be an Arrow table (seeds / a driver-ranked
-        round's links), a list of block ObjectRefs (the previous block-graph
-        round's link tables, carried in the object store — no re-read), or
-        a Dataset (resume path)."""
+        ``candidates`` is an Arrow table (seeds / a driver-ranked round's
+        links) or a list of block ObjectRefs (the previous block-graph
+        round's link tables, carried in the object store — no re-read — or
+        the resumed epoch's links parts)."""
         spec = self.spec
         ed = self._epoch_dir(epoch)
         if os.path.isdir(ed):
@@ -401,8 +405,6 @@ class CrawlJob:
         os.makedirs(ed, exist_ok=True)
         self._mark_t = time.perf_counter()
         k = self.seen.k
-        if isinstance(candidates, rd.Dataset):
-            candidates = candidates.to_arrow_refs()
         small = n_hint is not None and n_hint <= spec.local_round_threshold
         in_process = False
         pf, self._prefilter = self._prefilter, None
@@ -445,61 +447,60 @@ class CrawlJob:
         self._mark("gate_counts")
         n_win = int(counts.sum())
         gate = (n_win, int(probed.sum()) - n_win)  # (urls_enqueued, urls_deduped)
-        if n_win > spec.local_round_threshold:
-            return self._round_graph(blocks, winner_mat, counts, epoch, ed, gate)
-        # driver rank: gather the winner rows (at most the threshold), assign
-        # enqueue_seq in (parent_seq, link_idx) order, then pop order
-        # (priority desc, enqueue_seq) and the request budget (A2)
-        live = [b for b in range(B) if counts[b]]
-        rows = ray.get([w for b in live for w in winner_mat[b]])
-        tables = [blocks[b] for b in live]
-        if not in_process:
-            tables = ray.get(tables)
-        t = _concat_nonempty(
-            [_keep_rows(tb, *rows[i * k:(i + 1) * k]) for i, tb in enumerate(tables)],
-            _empty_candidates().schema,
-        )
-        t = t.take(pc.sort_indices(t, [("parent_seq", "ascending"), ("link_idx", "ascending")]))
-        t = t.append_column(
-            "enqueue_seq", pa.array(np.arange(self.next_seq, self.next_seq + n_win), pa.int64())
-        )
+        # O1: the round's winners take seqs [seq0, seq0 + n_win) in
+        # (parent_seq, link_idx) order whether or not the budget fetches them
+        seq0 = self.next_seq
         self.next_seq += n_win
-        t = t.take(pc.sort_indices(t, [("priority", "descending"), ("enqueue_seq", "ascending")]))
-        if spec.request_limit:
-            t = t.slice(0, max(0, spec.request_limit - self.fetched))
-        self._mark("tail_collapse")
-        if not small:
+        # A2: the request budget keeps the top n_frontier winners
+        n_frontier = (min(n_win, max(0, spec.request_limit - self.fetched))
+                      if spec.request_limit else n_win)
+        local = n_win <= spec.local_round_threshold
+        if local and not small:
             self.tail_collapses += 1
-        return self._local_tail(t, epoch, ed, gate)
+        if n_frontier == 0:
+            return self._empty_round(ed)
+        if not local:
+            return self._round_graph(blocks, winner_mat, counts, seq0, n_frontier,
+                                     epoch, ed, gate)
+        # driver rank: the winner rows (at most the threshold) merged into
+        # one block, ranked in-process as frontier part 0
+        live = [b for b in range(B) if counts[b]]
+        tables = [blocks[b] for b in live] if in_process else ray.get([blocks[b] for b in live])
+        rows = ray.get([w for b in live for w in winner_mat[b]])
+        t = _merge_winner_blocks(k, *[x for i, tb in enumerate(tables)
+                                      for x in (tb, *rows[i * k:(i + 1) * k])])
+        quota = _budget_quotas([_level_counts(t)], n_frontier)[0][0] if n_frontier < n_win else None
+        frontier_dir = os.path.join(ed, "frontier")
+        os.makedirs(frontier_dir, exist_ok=True)
+        front, *sched_parts = _rank_block(t, seq0, quota, frontier_dir, 0, self.sched.p)
+        self._mark("tail_collapse")
+        return self._local_tail(front, sched_parts, epoch, ed, gate)
 
     def _empty_round(self, ed: str):
         self._drain_pending()
         self._finish_epoch(ed, _empty_links_table(), rows=0)
         return 0, _empty_links_table(), 0
 
-    def _local_tail(self, front: pa.Table, epoch: int, ed: str, gate: tuple[int, int]):
-        """Fetch + sinks for a driver-ranked round: ``front`` is the gated,
-        budget-capped frontier with ``enqueue_seq`` assigned, in pop order.
-        The pool fetches it as one block; the pooled output goes through the
-        block graph's split (``_split_project``) and content flow as one
-        block, and the driver writes the sinks — no rank, split or finalize
-        tasks, the BFS head and tail rounds' fixed cost at every pool
-        size."""
+    def _local_tail(self, front: pa.Table, sched_parts: list, epoch: int, ed: str,
+                    gate: tuple[int, int]):
+        """Fetch + sinks for a driver-ranked round: ``front`` is the ranked,
+        budget-capped frontier in ``enqueue_seq`` order, already written as
+        frontier part 0, and ``sched_parts`` its schedule parts, both from
+        ``_rank_block``.  The pool fetches it as one block; the pooled
+        output goes through the block graph's split (``_split_project``)
+        and content flow as one block, and the driver writes the sinks — no
+        rank, split or finalize tasks, the BFS head and tail rounds' fixed
+        cost at every pool size."""
         spec = self.spec
         n_frontier = front.num_rows
-        if n_frontier == 0:
-            return self._empty_round(ed)
         self.fetched += n_frontier
-        storage.commit_table(front, os.path.join(ed, "frontier"))
+        storage.mark_complete(os.path.join(ed, "frontier"))
         # politeness ledger lives on the schedule shards (shared with the
-        # block graph so clocks stay consistent across path switches)
+        # block graph so clocks stay consistent across path switches); the
+        # ledger walk overlaps the fetch and is gathered before the done marker
         sched_dir = os.path.join(ed, "schedule")
-        parts = split_sched_parts(
-            front.column("host").to_pylist(), front.column("enqueue_seq").to_numpy(),
-            front.column("priority").to_numpy(), self.sched.p,
-        )
-        # the ledger walk overlaps the fetch; gathered before the done marker
-        sched_futs = self.sched.schedule_round(sched_dir, bool(spec.priority_rules), [parts])
+        sched_futs = self.sched.schedule_round(sched_dir, bool(spec.priority_rules),
+                                               [sched_parts])
         out_refs = self.fetch_pool.submit([ray.put(front.select(FRONTIER_COLS))], [n_frontier],
                                           self._batch_size(n_frontier))
         kc = self.content_seen.k
@@ -508,6 +509,7 @@ class CrawlJob:
         self._note_content(fetch_meta.column("status").to_pylist(),
                            fetch_meta.column("url").to_pylist(),
                            fetch_meta.column("enqueue_seq").to_pylist())
+        self._mark("fetch+split")
         # content verdicts run through the SAME sharded flow as the
         # distributed path (a one-block round) — local/dist parity by
         # construction, and the content-shard / sim-shard state stays
@@ -528,6 +530,7 @@ class CrawlJob:
         metrics = _metrics_from_table(fetch_meta, images.num_rows, epoch, *gate)
         self.bytes_total += int(metrics.column("bytes_received")[0].as_py())
         storage.commit_table(metrics, os.path.join(ed, "metrics"))
+        self._mark("sinks")
         self._drain_pending()
         ray.get(sched_futs)
         storage.mark_complete(sched_dir)
@@ -536,95 +539,70 @@ class CrawlJob:
 
     # -- block graph ---------------------------------------------------
     def _round_graph(self, blocks: list, winner_mat: list, counts: np.ndarray,
-                     epoch: int, ed: str, gate: tuple[int, int]):
+                     seq0: int, n_frontier: int, epoch: int, ed: str,
+                     gate: tuple[int, int]):
         """Block-graph rank + fetch + sinks for a round whose gate left more
         than ``local_round_threshold`` winners.  The driver waits on two
         barriers only: the gate counts (in ``_round``) and the split metas.
 
         Link blocks arrive from the previous round's split tasks in fetch
         order, so every block is already sorted by (parent_seq, link_idx)
-        and block ranges are disjoint ascending — ranking is offset
-        arithmetic, no sort.  ``blocks`` are the filtered blocks and
-        ``winner_mat[b][s]`` seen shard s's winner rows of block b, still in
-        the object store.  Rank tasks write frontier parts AND emit
-        hash(host) schedule parts consumed by the politeness partitions (no
-        per-row host/seq data on the driver, ever).  Fetch runs on the
-        persistent worker pool; sink writes and the schedule futures drain
-        during the next round."""
+        and block ranges are disjoint ascending — block b's winners are
+        numbered from ``seq0`` plus the winners of the blocks before it, no
+        sort.  ``blocks`` are the filtered blocks and ``winner_mat[b][s]``
+        seen shard s's winner rows of block b, still in the object store.
+        When the request budget keeps ``n_frontier`` of them, the driver
+        gathers each block's winner count per priority level.  Rank tasks
+        write frontier parts AND emit hash(host) schedule parts consumed by
+        the politeness partitions (no per-row host/seq data on the driver,
+        ever).  Fetch runs on the persistent worker pool; sink writes and
+        the schedule futures drain during the next round."""
         spec = self.spec
         k, P = self.seen.k, self.sched.p
-        B = len(blocks)
-        # request budget (A2): cap in seq order; with priority rules the cap
-        # must take max-priority first → fall back to a Dataset sort+limit
-        take = counts.copy()
-        if spec.request_limit:
-            remaining = max(0, spec.request_limit - self.fetched)
-            if spec.priority_rules:
-                kept = [_apply_winners.remote(blocks[b], *winner_mat[b]) for b in range(B)]
-                capped = (
-                    rd.from_arrow_refs(kept)
-                    .sort(["priority", "parent_seq", "link_idx"], descending=[True, False, False])
-                    .limit(remaining)
-                    .sort(["parent_seq", "link_idx"])
-                )
-                blocks = capped.to_arrow_refs()
-                take = np.array(ray.get([_count_rows.remote(r) for r in blocks]), dtype=np.int64)
-                winner_mat = [[] for _ in blocks]  # winners already applied
-            else:
-                cum = 0
-                for b in range(take.size):
-                    take[b] = min(take[b], max(0, remaining - cum))
-                    cum += counts[b]
-        sel = [b for b in range(len(blocks)) if take[b] > 0]
-        blocks = [blocks[b] for b in sel]
-        winner_mat = [winner_mat[b] for b in sel]
-        take = take[sel]
-        n_frontier = int(take.sum())
-        if n_frontier == 0:
-            return self._empty_round(ed)
+        live = np.nonzero(counts)[0]
+        blocks = [blocks[b] for b in live]
+        winner_mat = [winner_mat[b] for b in live]
+        counts = counts[live]
+        n_win = int(counts.sum())
         # re-coalesce tiny winner blocks (r5): a dedup-heavy gate after a
         # huge round can leave hundreds of blocks with a handful of winners
         # each (profile: 9,841 winners across 1,220 blocks ≈ 8/block) —
         # each would become its own rank task and a sub-minimum fetch
         # batch.  Contiguous groups keep (parent_seq, link_idx) order, so
-        # rank order is preserved; the merge task applies each block's
-        # winner mask and budget slice exactly as the rank task would have.
-        if len(blocks) > 2 * max(1, -(-n_frontier // _COALESCE_ROWS)):
+        # rank order is preserved.
+        if len(blocks) > 2 * max(1, -(-n_win // _COALESCE_ROWS)):
             groups: list[list[int]] = []
             cur: list[int] = []
             acc = 0
             for b in range(len(blocks)):
                 cur.append(b)
-                acc += int(take[b])
+                acc += int(counts[b])
                 if acc >= _COALESCE_ROWS or len(cur) >= 32:
                     groups.append(cur)
                     cur, acc = [], 0
             if cur:
                 groups.append(cur)
-            new_blocks, new_take = [], []
-            for g in groups:
-                takes = [int(take[b]) for b in g]
-                nwin, flat = [], []
-                for b in g:
-                    win = [w for w in winner_mat[b] if w is not None]
-                    nwin.append(len(win))
-                    flat.append(blocks[b])
-                    flat.extend(win)
-                new_blocks.append(_merge_winner_blocks.remote(takes, nwin, *flat))
-                new_take.append(sum(takes))
-            blocks = new_blocks
+            blocks = [_merge_winner_task.remote(k, *[x for b in g
+                                                     for x in (blocks[b], *winner_mat[b])])
+                      for g in groups]
             winner_mat = [[] for _ in blocks]
-            take = np.asarray(new_take, dtype=np.int64)
+            counts = np.array([int(counts[g].sum()) for g in groups], dtype=np.int64)
+        offsets = seq0 + np.concatenate([[0], np.cumsum(counts)[:-1]])
+        quotas, take = [None] * len(blocks), counts
+        if n_frontier < n_win:
+            quotas, take = _budget_quotas(
+                ray.get([_level_counts_task.remote(blk, *win)
+                         for blk, win in zip(blocks, winner_mat)]), n_frontier)
+        sel = np.nonzero(take)[0]
+        take = take[sel]
         self.fetched += n_frontier
 
         frontier_dir = os.path.join(ed, "frontier")
         os.makedirs(frontier_dir, exist_ok=True)
-        offsets = np.concatenate([[0], np.cumsum(take)[:-1]]) + self.next_seq
-        self.next_seq += n_frontier
         ranked, sched_mat = [], []
-        for i, (blk, win, off, tk) in enumerate(zip(blocks, winner_mat, offsets, take)):
+        for i, b in enumerate(sel):
             rets = _rank_sched_write_block.options(num_returns=1 + P).remote(
-                blk, int(off), int(tk), frontier_dir, i, P, *[w for w in win if w is not None]
+                blocks[b], int(offsets[b]), quotas[b], frontier_dir, i, P, *winner_mat[b]
             )
             ranked.append(rets[0])
             sched_mat.append(rets[1:])
@@ -924,10 +902,10 @@ class CrawlJob:
         reference's single queue is exactly FIFO = BFS, and this order matches
         the simulator byte-for-byte (tested).  With priority *rules*, the
         reference pops a high-priority deep URL before exhausting shallow
-        ones — membership still matches (verified), but total order requires
-        the driver-side lineage replay over the recorded link lists rather
-        than epoch concatenation; that replay consumes only the links/
-        lineage tables, never refetches."""
+        ones — so it can reach a URL deeper first and, at max_depth, not
+        follow its links (rounds give each URL its shortest depth), and total
+        order requires the driver-side lineage replay over the recorded link
+        lists rather than epoch concatenation."""
         out: list[str] = []
         for d in sorted(os.listdir(self.job_dir)):
             p = os.path.join(self.job_dir, d, "frontier")
@@ -983,6 +961,9 @@ def _coalesce_groups(refs: list, n_hint: int | None) -> list[list]:
     target = max(1, -(-n_hint // _COALESCE_ROWS))  # ceil
     groups = np.array_split(np.arange(len(refs)), min(len(refs), target))
     return [[refs[i] for i in g] for g in groups if g.size]
+
+
+_read_part = ray.remote(pq.read_table)
 
 
 @ray.remote
@@ -1046,57 +1027,77 @@ def _keep_rows(t: pa.Table, *winner_rows: np.ndarray) -> pa.Table:
     return t.filter(pa.array(mask))
 
 
-_apply_winners = ray.remote(_keep_rows)
+def _merge_winner_blocks(k: int, *flat) -> pa.Table:
+    """One table of a contiguous group of blocks' gate winners: ``flat``
+    packs, per block, the filtered table followed by its k per-seen-shard
+    winner row arrays.  Winner masks preserve row order, so the result is
+    still in (parent_seq, link_idx) order — the driver-ranked round's one
+    block, and (``_merge_winner_task``) a coalesced block-graph block."""
+    return pa.concat_tables([_keep_rows(flat[i], *flat[i + 1:i + 1 + k])
+                             for i in range(0, len(flat), k + 1)])
 
 
-@ray.remote
-def _count_rows(t: pa.Table) -> int:
-    return t.num_rows
+_merge_winner_task = ray.remote(_merge_winner_blocks)
 
 
-@ray.remote
-def _merge_winner_blocks(takes: list, nwin: list, *flat) -> pa.Table:
-    """Coalesce a contiguous group of winner blocks into ONE ranked-order
-    table: ``flat`` packs, per block, the link table followed by its
-    ``nwin[i]`` per-shard winner row arrays.  Winner masks preserve row
-    order and each block is sliced to its own budget take before concat,
-    so the result is exactly the concatenation the per-block rank tasks
-    would have produced."""
-    out = []
-    pos = 0
-    for tk, nw in zip(takes, nwin):
-        t = flat[pos]
-        ws = flat[pos + 1 : pos + 1 + nw]
-        pos += 1 + nw
-        if nw:
-            t = _keep_rows(t, *ws)
-        out.append(t.slice(0, tk))
-    return pa.concat_tables(out)
-
-
-@ray.remote
-def _rank_sched_write_block(
-    t: pa.Table, offset: int, take_n: int, frontier_dir: str, part: int,
-    p_sched: int, *winner_rows: np.ndarray,
-):
-    """Apply this block's dedup winners (mask → order preserved), slice to
-    the budget, assign contiguous enqueue_seq, write the frontier part, and
-    emit hash(host) schedule parts for the politeness shards.  Returns the
-    ranked block followed by the P schedule parts (``num_returns=1+P``)."""
-    import pyarrow.parquet as pq
-
+def _level_counts(t: pa.Table, *winner_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A block's winner priority levels and the winner count at each — all
+    the request budget needs to know of it (``_budget_quotas``)."""
     if winner_rows:
         t = _keep_rows(t, *winner_rows)
-    t = t.slice(0, take_n)
+    prio = np.asarray(t.column("priority").to_numpy(zero_copy_only=False), dtype=np.int64)
+    return np.unique(prio, return_counts=True)
+
+
+_level_counts_task = ray.remote(_level_counts)
+
+
+def _budget_quotas(levels: list, n_keep: int) -> tuple[list, np.ndarray]:
+    """Request budget (A2): keep the round's top ``n_keep`` winners by
+    (priority desc, enqueue_seq), the reference's pop order, from each
+    block's ``_level_counts``.  Blocks hold disjoint ascending seq ranges,
+    so the cut is one level L: every winner above L stays and L's winners
+    fill the rest in block order.  Returns per block its ``_rank_block``
+    quota ``(L, n)`` — the rows above L plus the first n at L — and its
+    kept row count."""
+    lv = np.concatenate([lvl for lvl, _ in levels])
+    n = np.concatenate([c for _, c in levels])
+    cut = max(v for v in lv if n[lv >= v].sum() >= n_keep)
+    need = n_keep - int(n[lv > cut].sum())
+    quotas, take = [], []
+    for lvl, c in levels:
+        q = min(int(c[lvl == cut].sum()), need)
+        need -= q
+        quotas.append((int(cut), q))
+        take.append(int(c[lvl > cut].sum()) + q)
+    return quotas, np.asarray(take, dtype=np.int64)
+
+
+def _rank_block(t: pa.Table, offset: int, quota: tuple[int, int] | None,
+                frontier_dir: str, part: int, p_sched: int,
+                *winner_rows: np.ndarray) -> tuple:
+    """Every round's rank step over one block of gate winners in
+    (parent_seq, link_idx) order, in-process for a driver-ranked round and
+    as ``_rank_sched_write_block`` tasks in the block graph: apply the
+    winner rows, number every winner ``offset + arange`` (O1: a URL is
+    numbered as it enters the queue), keep the rows the budget ``quota``
+    names (None keeps all), write frontier part ``part``.  Returns the
+    ranked block followed by its P hash(host) schedule parts."""
+    if winner_rows:
+        t = _keep_rows(t, *winner_rows)
     t = t.append_column("enqueue_seq", pa.array(np.arange(offset, offset + t.num_rows), pa.int64()))
+    prio = np.asarray(t.column("priority").to_numpy(zero_copy_only=False), dtype=np.int64)
+    if quota is not None:
+        cut, n = quota
+        at = prio == cut
+        keep = (prio > cut) | (at & (np.cumsum(at) <= n))
+        t, prio = t.filter(pa.array(keep)), prio[keep]
     pq.write_table(t, os.path.join(frontier_dir, f"part-{part:05d}.parquet"))
-    sched = split_sched_parts(
-        t.column("host").to_pylist(),
-        t.column("enqueue_seq").to_numpy(),
-        np.asarray(t.column("priority").to_numpy(zero_copy_only=False), dtype=np.int64),
-        p_sched,
-    )
-    return (t, *sched)
+    return (t, *split_sched_parts(t.column("host").to_pylist(),
+                                  t.column("enqueue_seq").to_numpy(), prio, p_sched))
+
+
+_rank_sched_write_block = ray.remote(_rank_block)
 
 
 _SPLIT_META = 8  # _split_project's returns before the 3*kc content key parts
@@ -1146,8 +1147,6 @@ def _split_sink(out: pa.Table, links_dir: str, part: int, kc: int):
     (``num_returns=_SPLIT_META + 3*kc`` at the call site) that also writes
     the batch's links checkpoint part; the next round consumes the links
     ref directly — no re-read."""
-    import pyarrow.parquet as pq
-
     _limit_arrow_threads()
     rets = _split_project(out, kc)
     links = rets[_SPLIT_META - 1]
@@ -1281,8 +1280,6 @@ def _with_near_dup(images: pa.Table, kept: dict, dup_map: dict) -> pa.Table:
 
 @ray.remote
 def _finalize_images(images: pa.Table, kept: dict, dup_map: dict, out_dir: str, part: int) -> int:
-    import pyarrow.parquet as pq
-
     out = _with_near_dup(images, kept, dup_map)
     if out.num_rows == 0:
         return 0
@@ -1293,8 +1290,6 @@ def _finalize_images(images: pa.Table, kept: dict, dup_map: dict, out_dir: str, 
 @ray.remote
 def _finalize_rows(t: pa.Table, out_dir: str, part: int, *winners) -> int:
     """Write the block rows selected by the (per-shard) winner row arrays."""
-    import pyarrow.parquet as pq
-
     rows = _merge_winner_rows(winners)
     if rows.size == 0:
         return 0

@@ -15,12 +15,12 @@ as, per round:
    the winner does not depend on how rows were split into blocks;
 3. the seen-set gate drops anything enqueued in an earlier round;
 4. survivors get contiguous ``enqueue_seq`` numbers in ``(parent_seq,
-   link_idx)`` order — priority does NOT affect enqueue numbering, only pop
-   order, exactly like the reference;
-5. the fetch schedule sorts on ``(priority desc, enqueue_seq asc)``.
+   link_idx)`` order, all before the request budget — priority does NOT
+   affect enqueue numbering, only pop order, exactly like the reference;
+5. the budget and the fetch schedule go by ``(priority desc, enqueue_seq)``.
 
 The distributed execution of these steps lives in pipelines/crawl.py (raw
-block tasks + the seen-shard two-phase protocol + one rank sort); this module
+block tasks + the seen-shard two-phase protocol + one sort-free rank); this module
 holds the declarative CrawlSpec and the CandidateFilter operator shared by
 the local, distributed and simulator paths.
 """
@@ -72,7 +72,7 @@ class CrawlSpec:
     # depth), and the first content URL re-anchors the follow scope
     # (PHPCrawler.class.php:801-820, PHPCrawlerURLFilter.class.php:121-135)
     redirects_till_content: bool = True
-    request_limit: int = 0                   # 0 = unlimited (A2/O3)
+    request_limit: int = 0                   # 0 = unlimited; cuts in pop order (A2/O3)
     traffic_limit_bytes: int = 0             # 0 = unlimited; round-granular abort (A2)
     retry_limit: int = 3
     content_size_limit: int = 1 << 22

@@ -128,3 +128,6 @@ def test_trace_replay_counts_every_fetched_url(ray_session, tmp_path):
     assert summary["fetched"] > 0
     assert layers["fetch.urls"] == summary["fetched"]
     assert layers["crawl.epochs"] == summary["epochs"]
+    # every round of this crawl is driver-ranked; its tail marks its phases
+    assert layers["crawl.fetch_wave_s"] > 0
+    assert layers["crawl.sinks_s"] > 0

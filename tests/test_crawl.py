@@ -169,8 +169,10 @@ def _epoch_table(job, d: str, name: str) -> pa.Table | None:
 
 
 def _epoch_outputs(job) -> dict:
-    """Per epoch: frontier (url_md5, enqueue_seq) pairs and the image_id /
-    doc_id sets the sinks kept."""
+    """Per epoch: frontier (url_md5, enqueue_seq) pairs, the image_id /
+    doc_id sets the sinks kept, and the done marker's ``next_seq``."""
+    import json
+
     cols = {"frontier": ("url_md5", "enqueue_seq"), "images": ("image_id",),
             "docs": ("doc_id",)}
     out = {}
@@ -181,31 +183,109 @@ def _epoch_outputs(job) -> dict:
         for name, keys in cols.items():
             t = _epoch_table(job, d, name)
             row[name] = set(zip(*(t.column(c).to_pylist() for c in keys))) if t else set()
+        with open(os.path.join(job.job_dir, d, "_EPOCH_DONE")) as f:
+            row["next_seq"] = json.load(f)["next_seq"]
         out[d] = row
     return out
 
 
-@pytest.mark.parametrize("threshold", [0, 40, 4096])
-def test_mixed_path_parity(ray_session, fixture_paths, golden, engine_run, tmp_path, threshold):
-    """Where a round's filter and rank run (driver or remote tasks / block
-    graph) must be semantically invisible: at any threshold the crawl has
-    the same order and membership as the simulator, and every epoch the
-    same frontier (url_md5, enqueue_seq) and kept image/doc ids as the
-    all-distributed run (threshold 40 makes rounds straddle it)."""
+def _unsorted_links(job) -> list[str]:
+    """Epochs whose links checkpoint is not in (parent_seq, link_idx) order —
+    the order the next round's rank numbers its winners in."""
+    bad = []
+    for d in sorted(os.listdir(job.job_dir)):
+        t = _epoch_table(job, d, "links") if d.startswith("epoch=") else None
+        if t is not None and t.num_rows:
+            key = list(zip(t.column("parent_seq").to_pylist(), t.column("link_idx").to_pylist()))
+            if key != sorted(key):
+                bad.append(d)
+    return bad
+
+
+def _record(job, summary: dict) -> dict:
+    return {"seen": set(job.seen.members()), "order": job.crawl_order(), "summary": summary,
+            "epochs": _epoch_outputs(job), "unsorted_links": _unsorted_links(job)}
+
+
+def _crawl(paths: dict, spec: CrawlSpec, job_dir: str) -> dict:
+    """Crawl to the end with Ray Data's sort disabled (no round may rank
+    through it) and return what the parity cases compare."""
+    import ray.data
+
     from lightcrawler_ray.pipelines.crawl import CrawlJob
 
-    p, paths = fixture_paths
-    spec = make_spec(local_round_threshold=threshold)
-    seeds = pq.read_table(paths["seeds"])
-    job = CrawlJob(spec, seeds, paths["pages"], paths["images"], paths["robots"],
-                   str(tmp_path / "mixed"))
-    job.run(max_rounds=10)
+    def no_sort(*a, **kw):
+        raise AssertionError("the crawl ranked through a Ray Data sort")
+
+    job = CrawlJob(spec, pq.read_table(paths["seeds"]), paths["pages"], paths["images"],
+                   paths["robots"], job_dir)
     try:
-        assert set(job.seen.members()) == golden.seen
-        assert job.crawl_order() == golden.order
-        assert _epoch_outputs(job) == _epoch_outputs(engine_run[0])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ray.data.Dataset, "sort", no_sort)
+            summary = job.run(max_rounds=10)
+        return _record(job, summary)
     finally:
         job.shutdown()
+
+
+# priority rules: pages /p/80-89 and the image pages pop before their level-0
+# round mates; max_depth=3 gives the rules rounds to reorder
+_RULES = dict(priority_rules=((r"/p/8\d\.html", 5), (r"img-", 3)), max_depth=3)
+
+
+@pytest.fixture(scope="module")
+def reference(ray_session, fixture_paths, golden, engine_run, tmp_path_factory):
+    """``reference(**spec_kw)``: the spec's threshold-0 (all block-graph) run
+    and its simulator run, made once per module and shared by every case
+    that compares another threshold against it."""
+    from lightcrawler_ray.pipelines.crawl import load_robots
+
+    _, paths = fixture_paths
+    runs = {(): (_record(*engine_run), golden)}
+
+    def get(**kw):
+        key = tuple(sorted(kw.items()))
+        if key not in runs:
+            spec = make_spec(**kw)
+            gold = simulator.simulate(spec, pq.read_table(paths["seeds"]), paths["pages"],
+                                      paths["images"], load_robots(paths["robots"]))
+            runs[key] = (_crawl(paths, spec, str(tmp_path_factory.mktemp("ref"))), gold)
+        return runs[key]
+
+    return get
+
+
+def _cases(thresholds) -> list:
+    """(threshold, rules) cases; the uniform ones keep the bare threshold id."""
+    return ([pytest.param(t, False, id=str(t)) for t in thresholds]
+            + [pytest.param(t, True, id=f"rules-{t}") for t in thresholds])
+
+
+@pytest.mark.parametrize("threshold,rules", _cases([0, 40, 4096]))
+def test_mixed_path_parity(fixture_paths, reference, tmp_path, threshold, rules):
+    """Where a round's filter and rank run (driver or remote tasks / block
+    graph) must be semantically invisible: at any threshold the crawl has
+    the all-distributed run's membership (with uniform priorities also the
+    simulator's membership and order), and every epoch the same frontier
+    (url_md5, enqueue_seq), kept image/doc ids and next_seq as the
+    all-distributed run (threshold 40 makes rounds straddle it).  Every
+    links checkpoint is in (parent_seq, link_idx) order, also when
+    priority rules make the pop order differ from it."""
+    kw = _RULES if rules else {}
+    ref, gold = reference(**kw)
+    run = ref if threshold == 0 else _crawl(
+        fixture_paths[1], make_spec(local_round_threshold=threshold, **kw), str(tmp_path / "mixed"))
+    assert run["seen"] == ref["seen"]
+    if rules:
+        # rounds are BFS layers, so a URL's depth is its shortest; the
+        # reference's one queue may first reach it deeper (a high-priority
+        # page popped early) and then not follow its links at max_depth
+        assert gold.seen <= run["seen"]
+    else:
+        assert run["seen"] == gold.seen
+        assert run["order"] == gold.order
+    assert run["epochs"] == ref["epochs"]
+    assert run["unsorted_links"] == []
 
 
 @pytest.mark.parametrize("threshold", [0, 4096])
@@ -395,22 +475,48 @@ def test_traffic_limit_aborts(ray_session, fixture_paths, tmp_path):
         job.shutdown()
 
 
-def test_request_limit_budget(ray_session, fixture_paths, golden, tmp_path):
-    """A2/O3 — request budget caps fetches at exactly N, in pop order (the
-    first N of the reference order)."""
-    from lightcrawler_ray.pipelines.crawl import CrawlJob
+@pytest.mark.parametrize("threshold,rules", _cases([0, 4096]))
+def test_request_limit_budget(fixture_paths, reference, tmp_path, threshold, rules):
+    """A2/O3 — the request budget caps fetches at exactly N, keeping the
+    round's top winners by (priority desc, enqueue_seq).  Every winner is
+    numbered once, before the cap, so the driver rank and the block graph
+    give the same seqs; with uniform priorities the crawl is the first N of
+    the reference order."""
+    kw = dict(_RULES if rules else {}, request_limit=10)
+    ref, gold = reference(**kw)
+    run = ref if threshold == 0 else _crawl(
+        fixture_paths[1], make_spec(local_round_threshold=threshold, **kw), str(tmp_path / "budget"))
+    assert run["summary"]["fetched"] == run["summary"]["links_followed"] == 10
+    assert run["summary"]["next_seq"] == len(run["seen"])
+    assert run["epochs"] == ref["epochs"]
+    if not rules:
+        assert run["order"] == gold.order[:10]
 
-    p, paths = fixture_paths
-    spec = make_spec(request_limit=10)
-    seeds = pq.read_table(paths["seeds"])
-    job = CrawlJob(spec, seeds, paths["pages"], paths["images"], paths["robots"],
-                   str(tmp_path / "budget"))
-    s = job.run(max_rounds=10)
-    try:
-        assert s["links_followed"] == 10
-        assert job.crawl_order() == golden.order[:10]
-    finally:
-        job.shutdown()
+
+def test_budget_quotas_keep_pop_order_prefix(tmp_path):
+    """The budget rule over several blocks: ``_rank_block`` with the
+    ``_budget_quotas`` quotas keeps exactly the first N winners of
+    (priority desc, enqueue_seq), numbering every winner before the cut."""
+    from lightcrawler_ray.pipelines.crawl import _budget_quotas, _level_counts, _rank_block
+
+    rng = np.random.default_rng(7)
+    sizes = [5, 0, 9, 3, 12]
+    prio = rng.choice([0, 0, 0, 3, 5], size=sum(sizes))
+    blocks, start = [], 0
+    for n in sizes:
+        blocks.append(pa.table({"host": [f"h{i % 3}" for i in range(n)],
+                                "priority": pa.array(prio[start:start + n], pa.int32())}))
+        start += n
+    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    pop = sorted(range(prio.size), key=lambda s: (-prio[s], s))
+    for n_keep in (0, 1, 4, 11, 20, prio.size - 1):
+        quotas, take = _budget_quotas([_level_counts(t) for t in blocks], n_keep)
+        kept = []
+        for i, (t, off, q) in enumerate(zip(blocks, offsets, quotas)):
+            ranked, *_ = _rank_block(t, int(off), q, str(tmp_path), i, 2)
+            assert ranked.num_rows == take[i]
+            kept += ranked.column("enqueue_seq").to_pylist()
+        assert sorted(kept) == sorted(pop[:n_keep])
 
 
 def test_robots_disallow_respected(engine_run, golden):
@@ -421,8 +527,9 @@ def test_robots_disallow_respected(engine_run, golden):
 
 def test_tail_collapse_parity(ray_session, fixture_paths, golden, tmp_path):
     """A distributed round whose seen gate leaves <= threshold winners must
-    collapse to the local tail (skipping the rank/split/finalize machinery)
-    WITHOUT changing order, membership, or sink contents — and the collapse
+    collapse to the local tail (its winners ranked in-process by the same
+    ``_rank_block``, no rank/split/finalize tasks) WITHOUT changing order,
+    membership, or sink contents — and the collapse
     must actually fire on this fixture (the BFS tail rounds have large raw
     link counts but tiny unseen remainders)."""
     from lightcrawler_ray.pipelines.crawl import CrawlJob
