@@ -45,13 +45,15 @@ only picks WHERE they run.  A round of at most ``spec.local_round_threshold``
 candidates is filtered in-process on the driver (no task hop); a larger one
 in remote filter tasks.  A gate that leaves at most that many winners is
 merged into one block and ranked in-process; ``_local_tail`` hands it to the
-fetch pool as one block and runs the block graph's split (``_split_project``)
-and content flow over the pooled output in one piece.  A larger one goes
-through the block graph above, whose scheduling cost only pays off at size.
-Every round fetches on the pool, so the workers' client state (cookies, DNS
-cache) is the crawl's only one.  At 10^10-URL scale the big rounds are the
-only ones that matter; the threshold just stops the head and tail from
-paying cluster prices.
+fetch pool as one block and splits the pooled output in-process
+(``_split_project``) instead of in per-batch ``_split_sink`` tasks.  A larger
+one goes through the block graph above, whose scheduling cost only pays off
+at size.  Every round fetches on the pool, so the workers' client state
+(cookies, DNS cache) is the crawl's only one, and every fetched round ends in
+the same ``_sink_round``: content flow, finalize tasks, and metrics, snapshot
+and done marker deferred to the next round's drain.  At 10^10-URL scale the
+big rounds are the only ones that matter; the threshold just stops the head
+and tail from paying cluster prices.
 
 Checkpoint per epoch: frontier, links lineage, images, docs, metrics, seen
 snapshot, then an atomic done-marker — resume restores the seen shards and
@@ -59,7 +61,7 @@ re-enters at the first incomplete epoch (T10 / north_rule).  All per-epoch
 outputs are partitioned directories so a 256-node run can skip finished work.
 
 Skew (SURVEY.md §4 / north_rule): hot hosts cannot unbalance this plan —
-fetch work is partitioned by ROW RANGES (round-robin over the pool,
+fetch work is partitioned by ROW RANGES (work-stealing over the pool,
 host-agnostic), the seen shards key on url_md5 (uniform by construction), the
 rank is per-block offset arithmetic (no key at all), and per-host rate is
 bounded by the politeness ledger regardless of partition shape.  The one
@@ -85,7 +87,7 @@ from ..functions.benchtimer import Benchmark
 from ..stages.fetch import FRONTIER_COLS, OUT_SCHEMA, load_fixture_tables, split_outputs
 from ..stages.fetchpool import FetchPool
 from ..stages.frontier import CandidateFilter, CrawlSpec
-from ..stages.politeness import HostClock, SchedulePool, split_sched_parts
+from ..stages.politeness import SchedulePool, split_sched_parts
 from ..state.pool import StatePool
 from ..state.seenset import SeenSet, key_parts, md5hex_to_u64_pairs
 from ..state.simindex import N_BANDS, SimIndex
@@ -185,9 +187,7 @@ class CrawlJob:
         self.robots_ref = ray.put(self.robots)
         # per-host politeness ledger (T7 upgraded: per-host, not global),
         # hash(host)-partitioned over the state actors so no round's (host, seq)
-        # rows ever gather on the driver; the driver-side HostClock is kept
-        # for delay audits only (assert_polite), not ledger state
-        self.host_clock = HostClock(spec.request_delay_ms, self.robots)
+        # rows ever gather on the driver
         lazy = spec.respect_robots and spec.robots_source == "lazy"
         self.sched = SchedulePool(
             spec.politeness_shards, spec.request_delay_ms, self.robots,
@@ -222,7 +222,9 @@ class CrawlJob:
         ws = _split_sink.options(num_returns=_SPLIT_META + 3 * kc).remote(
             OUT_SCHEMA.empty_table(), warm_dir, 0, kc
         )
-        ray.get([wf[0], wm, wr[0], ws[0]])
+        wi = _finalize_images.remote(ws[4], {"row": [], "id": []}, {}, warm_dir, 0)
+        wd = _finalize_rows.remote(ws[5], warm_dir, 0)
+        ray.get([wf[0], wm, wr[0], wi, wd])
         import shutil
 
         shutil.rmtree(warm_dir, ignore_errors=True)
@@ -387,13 +389,16 @@ class CrawlJob:
         one in remote tasks.  A gate that leaves at most that many winners
         is ranked in-process as one block (``_local_tail``), a larger one
         in block-graph tasks (``_round_graph``).  Either way every winner
-        is numbered before the request budget keeps its top rows.
+        is numbered before the request budget keeps its top rows, and the
+        round ends in ``_sink_round`` (or ``_empty_round``), which finishes
+        the PREVIOUS epoch and leaves this one to the next drain.
 
         ``candidates`` is an Arrow table (seeds / a driver-ranked round's
         links) or a list of block ObjectRefs (the previous block-graph
         round's link tables, carried in the object store — no re-read — or
         the resumed epoch's links parts)."""
         spec = self.spec
+        self._mark_t = time.perf_counter()
         ed = self._epoch_dir(epoch)
         if os.path.isdir(ed):
             # (re)entering an epoch — a mid-epoch crash or sparse-snapshot
@@ -403,7 +408,6 @@ class CrawlJob:
 
             shutil.rmtree(ed)
         os.makedirs(ed, exist_ok=True)
-        self._mark_t = time.perf_counter()
         k = self.seen.k
         small = n_hint is not None and n_hint <= spec.local_round_threshold
         in_process = False
@@ -435,7 +439,7 @@ class CrawlJob:
                 keymat.append(rets[1:])
         B = len(blocks)
         if B == 0:
-            return self._empty_round(ed)
+            return self._empty_round(epoch, ed)
         # each seen shard answers the whole round in ONE gate_parts call,
         # returning only per-block counts to the driver while the winner row
         # arrays stay in the object store
@@ -458,7 +462,7 @@ class CrawlJob:
         if local and not small:
             self.tail_collapses += 1
         if n_frontier == 0:
-            return self._empty_round(ed)
+            return self._empty_round(epoch, ed)
         if not local:
             return self._round_graph(blocks, winner_mat, counts, seq0, n_frontier,
                                      epoch, ed, gate)
@@ -476,74 +480,55 @@ class CrawlJob:
         self._mark("tail_collapse")
         return self._local_tail(front, sched_parts, epoch, ed, gate)
 
-    def _empty_round(self, ed: str):
+    def _empty_round(self, epoch: int, ed: str):
+        """A round with nothing to fetch ends the crawl: its epoch holds an
+        empty links checkpoint, the snapshot and the done marker, stashed
+        and drained like every other epoch."""
         self._drain_pending()
-        self._finish_epoch(ed, _empty_links_table(), rows=0)
+        links_dir = os.path.join(ed, "links")
+        os.makedirs(links_dir, exist_ok=True)
+        self._pending = dict(ed=ed, epoch=epoch, writes=[], sched_futs=[], dirs=[links_dir],
+                             fetch_small=None, snap_refs=self._snapshot_refs(epoch),
+                             meta=self._done_meta(0, 0))
+        self._drain_pending()
+        self._mark("sinks")
         return 0, _empty_links_table(), 0
 
     def _local_tail(self, front: pa.Table, sched_parts: list, epoch: int, ed: str,
                     gate: tuple[int, int]):
-        """Fetch + sinks for a driver-ranked round: ``front`` is the ranked,
+        """Fetch + split for a driver-ranked round: ``front`` is the ranked,
         budget-capped frontier in ``enqueue_seq`` order, already written as
         frontier part 0, and ``sched_parts`` its schedule parts, both from
-        ``_rank_block``.  The pool fetches it as one block; the pooled
-        output goes through the block graph's split (``_split_project``)
-        and content flow as one block, and the driver writes the sinks — no
-        rank, split or finalize tasks, the BFS head and tail rounds' fixed
-        cost at every pool size."""
-        spec = self.spec
+        ``_rank_block``.  The pool fetches it as one block; the driver
+        splits the pooled output in-process (``_split_project``, no
+        per-batch split tasks competing with the pool for the spare CPUs),
+        writes its links as part 0 and hands the one block to
+        ``_sink_round``.  The next round filters the links table directly."""
         n_frontier = front.num_rows
-        self.fetched += n_frontier
-        storage.mark_complete(os.path.join(ed, "frontier"))
         # politeness ledger lives on the schedule shards (shared with the
         # block graph so clocks stay consistent across path switches); the
-        # ledger walk overlaps the fetch and is gathered before the done marker
+        # ledger walk overlaps the fetch and is gathered at the drain
         sched_dir = os.path.join(ed, "schedule")
-        sched_futs = self.sched.schedule_round(sched_dir, bool(spec.priority_rules),
+        sched_futs = self.sched.schedule_round(sched_dir, bool(self.spec.priority_rules),
                                                [sched_parts])
         out_refs = self.fetch_pool.submit([ray.put(front.select(FRONTIER_COLS))], [n_frontier],
                                           self._batch_size(n_frontier))
-        kc = self.content_seen.k
-        (fetch_meta, img_meta, doc_meta, att_meta, images, docs, atts, links,
-         *kparts) = _split_project(pa.concat_tables(ray.get(out_refs)), kc)
-        self._note_content(fetch_meta.column("status").to_pylist(),
-                           fetch_meta.column("url").to_pylist(),
-                           fetch_meta.column("enqueue_seq").to_pylist())
-        self._mark("fetch+split")
-        # content verdicts run through the SAME sharded flow as the
-        # distributed path (a one-block round) — local/dist parity by
-        # construction, and the content-shard / sim-shard state stays
-        # consistent across path switches
-        img_parts, doc_parts, att_parts = ([[p] for p in kparts[i * kc:(i + 1) * kc]]
-                                           for i in range(3))
-        img_kept, dup_ref, doc_keep, att_w = self._content_flow(
-            1, [img_meta], [doc_meta], img_parts, doc_parts, att_parts
-        )
-        images = _with_near_dup(images, ray.get(img_kept[0]), ray.get(dup_ref))
-        storage.commit_table(images, os.path.join(ed, "images"))
-        docs = docs.take(pa.array(ray.get(doc_keep[0]), pa.int64()))
-        storage.commit_table(docs, os.path.join(ed, "docs"))
-        arows = np.sort(np.concatenate(ray.get([att_w[s][0] for s in range(kc)])))
-        storage.commit_table(_hydrate_spilled(atts.take(pa.array(arows, pa.int64()))),
-                             os.path.join(ed, "attachments"))
-
-        metrics = _metrics_from_table(fetch_meta, images.num_rows, epoch, *gate)
-        self.bytes_total += int(metrics.column("bytes_received")[0].as_py())
-        storage.commit_table(metrics, os.path.join(ed, "metrics"))
-        self._mark("sinks")
-        self._drain_pending()
-        ray.get(sched_futs)
-        storage.mark_complete(sched_dir)
-        self._finish_epoch(ed, links, rows=n_frontier)
-        return n_frontier, links, links.num_rows
+        split = _split_project(pa.concat_tables(ray.get(out_refs)), self.content_seen.k)
+        links = split[_SPLIT_META - 1]
+        links_dir = os.path.join(ed, "links")
+        os.makedirs(links_dir, exist_ok=True)
+        _write_part(links, links_dir, 0)
+        return n_frontier, links, self._sink_round(epoch, ed, [split], split[0], gate,
+                                                   sched_futs, n_frontier)
 
     # -- block graph ---------------------------------------------------
     def _round_graph(self, blocks: list, winner_mat: list, counts: np.ndarray,
                      seq0: int, n_frontier: int, epoch: int, ed: str,
                      gate: tuple[int, int]):
-        """Block-graph rank + fetch + sinks for a round whose gate left more
+        """Block-graph rank + fetch + split for a round whose gate left more
         than ``local_round_threshold`` winners.  The driver waits on two
-        barriers only: the gate counts (in ``_round``) and the split metas.
+        barriers only: the gate counts (in ``_round``) and the split metas
+        (in ``_sink_round``).
 
         Link blocks arrive from the previous round's split tasks in fetch
         order, so every block is already sorted by (parent_seq, link_idx)
@@ -555,8 +540,9 @@ class CrawlJob:
         gathers each block's winner count per priority level.  Rank tasks
         write frontier parts AND emit hash(host) schedule parts consumed by
         the politeness partitions (no per-row host/seq data on the driver,
-        ever).  Fetch runs on the persistent worker pool; sink writes and
-        the schedule futures drain during the next round."""
+        ever).  Fetch runs on the persistent worker pool, each batch's
+        ``_split_sink`` task launching as the batch lands; ``_sink_round``
+        takes the split refs from there."""
         spec = self.spec
         k, P = self.seen.k, self.sched.p
         live = np.nonzero(counts)[0]
@@ -595,7 +581,6 @@ class CrawlJob:
                          for blk, win in zip(blocks, winner_mat)]), n_frontier)
         sel = np.nonzero(take)[0]
         take = take[sel]
-        self.fetched += n_frontier
 
         frontier_dir = os.path.join(ed, "frontier")
         os.makedirs(frontier_dir, exist_ok=True)
@@ -653,48 +638,58 @@ class CrawlJob:
                 pf_filt[i] = f[0]
                 pf_keymat[i] = f[1:]
 
-        self.fetch_pool.submit_dynamic(ranked, take_l, bs, on_done=_on_batch_done)
-        cols = list(zip(*split_refs))
-        (fetch_metas, img_metas, doc_metas, att_metas,
-         img_fulls, doc_fulls, att_fulls, link_refs) = cols[:_SPLIT_META]
+        self.fetch_pool.submit(ranked, take_l, bs, on_done=_on_batch_done)
+        # the incremental speculation launched one filter per batch inside
+        # _on_batch_done; register the completed set for the next round
+        link_refs = [r[_SPLIT_META - 1] for r in split_refs]
+        if speculate_next:
+            self._prefilter = {
+                "key": tuple(r.hex() for r in link_refs),
+                "filt": pf_filt, "keymat": pf_keymat,
+            }
+        fetch_small = pa.concat_tables(ray.get([r[0] for r in split_refs]))
+        return n_frontier, link_refs, self._sink_round(epoch, ed, split_refs, fetch_small, gate,
+                                                       sched_futs, n_frontier)
+
+    def _sink_round(self, epoch: int, ed: str, splits: list, fetch_small: pa.Table,
+                    gate: tuple[int, int], sched_futs: list, n_frontier: int) -> int:
+        """Every fetched round's tail, from the split on: the content flow,
+        the previous epoch's drain, this epoch's per-block finalize writes,
+        and the stash its own drain finishes (metrics, snapshot, done
+        marker) while the next round filters and gates.  ``splits`` holds
+        the ``_split_project`` returns per fetch batch: ``_split_sink`` refs
+        in the block graph, the driver-ranked round's one in-process tuple;
+        ``fetch_small`` is the round's fetch metas, gathered.  Counts the
+        round's fetches and bytes and returns its link count."""
+        self.fetched += n_frontier
+        self.bytes_total += int(pc.sum(fetch_small.column("bytes_received")).as_py() or 0)
+        self._note_content(fetch_small.column("status").to_pylist(),
+                           fetch_small.column("url").to_pylist(),
+                           fetch_small.column("enqueue_seq").to_pylist())
+        self._mark("fetch+split")
+        # every rank write and links part is in once the split metas landed
+        storage.mark_complete(os.path.join(ed, "frontier"))
+        storage.mark_complete(os.path.join(ed, "links"))
+        n_links = int(pc.sum(fetch_small.column("n_links")).as_py() or 0)
+
+        kc = self.content_seen.k
+        nb = len(splits)
+        cols = list(zip(*splits))
+        img_metas, doc_metas = cols[1], cols[2]
+        img_fulls, doc_fulls, att_fulls = cols[4], cols[5], cols[6]
         img_parts = cols[_SPLIT_META:_SPLIT_META + kc]            # [shard][block]
         doc_parts = cols[_SPLIT_META + kc:_SPLIT_META + 2 * kc]
         att_parts = cols[_SPLIT_META + 2 * kc:_SPLIT_META + 3 * kc]
         # content dedup verdicts (D2/D3/D4, J2/J3) — sharded off the driver:
-        # key parts flow worker → content shard → finalize by ref; the driver
+        # key parts flow split → content shard → finalize by ref; the driver
         # only wires the task graph (no verdict rows, no barrier)
         img_kept, dup_ref, doc_keep, att_w = self._content_flow(
             nb, img_metas, doc_metas, img_parts, doc_parts, att_parts
         )
-
-        # the incremental speculation launched one filter per batch inside
-        # _on_batch_done; register the completed set for the next round
-        link_refs_l = list(link_refs)
-        if speculate_next:
-            self._prefilter = {
-                "key": tuple(r.hex() for r in link_refs_l),
-                "filt": pf_filt, "keymat": pf_keymat,
-            }
-
-        metas = ray.get(list(fetch_metas))
-        fetch_small = _concat_nonempty(metas, _FETCH_META_SCHEMA)
-        if fetch_small.num_rows:
-            self.bytes_total += int(pc.sum(fetch_small.column("bytes_received")).as_py() or 0)
-            self._note_content(fetch_small.column("status").to_pylist(),
-                               fetch_small.column("url").to_pylist(),
-                               fetch_small.column("enqueue_seq").to_pylist())
-        self._mark("fetch+split")
-        # every rank task is transitively complete once the split metas landed
-        storage.mark_complete(frontier_dir)
-        storage.mark_complete(links_dir)
-        n_links = int(pc.sum(fetch_small.column("n_links")).as_py() or 0)
-
-        img_dir = os.path.join(ed, "images")
-        doc_dir = os.path.join(ed, "docs")
-        att_dir = os.path.join(ed, "attachments")
-        os.makedirs(img_dir, exist_ok=True)
-        os.makedirs(doc_dir, exist_ok=True)
-        os.makedirs(att_dir, exist_ok=True)
+        dirs = [os.path.join(ed, name) for name in ("images", "docs", "attachments")]
+        for d in dirs:
+            os.makedirs(d, exist_ok=True)
+        img_dir, doc_dir, att_dir = dirs
         # the previous epoch's deferred writes have had this whole round to
         # finish — drain them now, BEFORE stashing ours (done markers must
         # land in epoch order for resume correctness)
@@ -717,12 +712,11 @@ class CrawlJob:
         # drain — the payload writes + metrics + done marker defer the same
         # way, so nothing verdict-shaped blocks this round
         self._pending = dict(
-            ed=ed, epoch=epoch, img_dir=img_dir, doc_dir=doc_dir, att_dir=att_dir,
-            fetch_small=fetch_small, writes=writes, n_img=nb, gate=gate,
-            sched_futs=sched_futs, sched_dir=sched_dir,
+            ed=ed, epoch=epoch, writes=writes, n_img=nb, sched_futs=sched_futs,
+            dirs=dirs + [os.path.join(ed, "schedule")], fetch_small=fetch_small, gate=gate,
             snap_refs=self._snapshot_refs(epoch), meta=self._done_meta(n_frontier, n_links),
         )
-        return n_frontier, list(link_refs), n_links
+        return n_links
 
     def _content_flow(self, nb: int, img_metas, doc_metas,
                       img_parts, doc_parts, att_parts):
@@ -782,33 +776,26 @@ class CrawlJob:
         return img_kept, dup_ref, doc_keep, att_w
 
     def _drain_pending(self) -> None:
-        """Complete the previous epoch's deferred sink writes: gather the
-        finalize tasks, commit metrics, drop the done marker."""
+        """Finish the stashed epoch: gather its finalize writes and ledger
+        walk, bless its sink dirs, commit its metrics row (an epoch that
+        fetched nothing has none), write its snapshot, drop the done
+        marker."""
         p = getattr(self, "_pending", None)
         if not p:
             return
         self._pending = None
         res = ray.get(p["writes"] + p["sched_futs"])
-        n_images = int(sum(res[: p["n_img"]]))
-        storage.mark_complete(p["img_dir"])
-        storage.mark_complete(p["doc_dir"])
-        storage.mark_complete(p["att_dir"])
-        storage.mark_complete(p["sched_dir"])
-        metrics = _metrics_from_table(p["fetch_small"], n_images, p["epoch"], *p["gate"])
-        storage.commit_table(metrics, os.path.join(p["ed"], "metrics"))
+        for d in p["dirs"]:
+            storage.mark_complete(d)
+        if p["fetch_small"] is not None:
+            metrics = _metrics_from_table(p["fetch_small"], int(sum(res[: p["n_img"]])),
+                                          p["epoch"], *p["gate"])
+            storage.commit_table(metrics, os.path.join(p["ed"], "metrics"))
         # the snapshot refs were submitted during the epoch (mailbox-ordered),
         # so this gather observes exactly that epoch's state; the snapshot
         # must land before the done marker for resume correctness
         _save_seen_snapshot(os.path.join(p["ed"], "seen.npz"), p["snap_refs"])
         _write_done(p["ed"], p["meta"])
-
-    def _finish_epoch(self, ed: str, links: pa.Table, rows: int) -> None:
-        """Links checkpoint, snapshot (on the ``snapshot_every`` cadence) and
-        done marker for a round that ran to completion on the driver."""
-        storage.commit_table(links, os.path.join(ed, "links"))
-        epoch = int(os.path.basename(ed).split("=")[1])
-        _save_seen_snapshot(os.path.join(ed, "seen.npz"), self._snapshot_refs(epoch))
-        _write_done(ed, self._done_meta(rows, links.num_rows))
 
     def _snapshot_refs(self, epoch: int) -> dict | None:
         """Submit the ``seen.npz`` payload's shard snapshots, or None off the
@@ -1149,9 +1136,7 @@ def _split_sink(out: pa.Table, links_dir: str, part: int, kc: int):
     ref directly — no re-read."""
     _limit_arrow_threads()
     rets = _split_project(out, kc)
-    links = rets[_SPLIT_META - 1]
-    if links.num_rows:
-        pq.write_table(links, os.path.join(links_dir, f"part-{part:05d}.parquet"))
+    _write_part(rets[_SPLIT_META - 1], links_dir, part)
     return rets
 
 
@@ -1270,32 +1255,28 @@ def _image_dup_task(*kept: dict) -> dict:
     return best_id
 
 
-def _with_near_dup(images: pa.Table, kept: dict, dup_map: dict) -> pa.Table:
-    """Apply the keep rows then attach the near-dup verdict column — shared
-    by the local round and the distributed finalize task."""
-    t = images.take(pa.array(kept["row"], pa.int64()))
-    col = pa.array([dup_map.get(i, "") for i in kept["id"]], pa.string())
-    return t.append_column("near_dup_of", col)
+def _write_part(t: pa.Table, out_dir: str, part: int) -> int:
+    """Write ``t`` as sink part ``part`` unless it is empty (a zero-row
+    sink dir holds only its ``_SUCCESS``); returns its row count."""
+    if t.num_rows:
+        pq.write_table(t, os.path.join(out_dir, f"part-{part:05d}.parquet"))
+    return t.num_rows
 
 
 @ray.remote
 def _finalize_images(images: pa.Table, kept: dict, dup_map: dict, out_dir: str, part: int) -> int:
-    out = _with_near_dup(images, kept, dup_map)
-    if out.num_rows == 0:
-        return 0
-    pq.write_table(out, os.path.join(out_dir, f"part-{part:05d}.parquet"))
-    return out.num_rows
+    """Write the block's kept images with the round's near-dup verdict
+    column (``_image_dup_task``)."""
+    t = images.take(pa.array(kept["row"], pa.int64()))
+    col = pa.array([dup_map.get(i, "") for i in kept["id"]], pa.string())
+    return _write_part(t.append_column("near_dup_of", col), out_dir, part)
 
 
 @ray.remote
 def _finalize_rows(t: pa.Table, out_dir: str, part: int, *winners) -> int:
     """Write the block rows selected by the (per-shard) winner row arrays."""
     rows = _merge_winner_rows(winners)
-    if rows.size == 0:
-        return 0
-    kept = _hydrate_spilled(t.take(pa.array(rows, pa.int64())))
-    pq.write_table(kept, os.path.join(out_dir, f"part-{part:05d}.parquet"))
-    return kept.num_rows
+    return _write_part(_hydrate_spilled(t.take(pa.array(rows, pa.int64()))), out_dir, part)
 
 
 def _hydrate_spilled(t: pa.Table) -> pa.Table:
@@ -1327,11 +1308,6 @@ def _hydrate_spilled(t: pa.Table) -> pa.Table:
             vals.append(v.as_py())
     idx = t.column_names.index("bytes")
     return t.set_column(idx, "bytes", pa.array(vals, byts.type))
-
-
-def _concat_nonempty(tables: list[pa.Table], schema: pa.Schema) -> pa.Table:
-    parts = [t for t in tables if t.num_rows > 0]
-    return pa.concat_tables(parts) if parts else schema.empty_table()
 
 
 def _att_rows(t: pa.Table) -> pa.Table:

@@ -11,8 +11,9 @@ per-record transform still runs through the shared SyntheticFetchExtract
 operator code, and blocks reach workers as plasma-shared Arrow tables
 (zero-copy within a node).
 
-Partitioning assumption: the driver round-robins fixed-size row ranges over
-workers; at multi-node scale the same pool is placed per-node
+Partitioning assumption: the driver cuts blocks into fixed-size row ranges
+and hands each to whichever worker has room in its queue (work stealing); at
+multi-node scale the same pool is placed per-node
 (``scheduling_strategy="SPREAD"``) and ranges ride object locality.
 """
 
@@ -27,12 +28,12 @@ from .fetch import fetch_robots, make_fetcher
 @ray.remote(num_cpus=1)
 class FetchWorker:
     """num_cpus=1: workers burn a real core each; without the reservation the
-    split/sort tasks oversubscribe the node during the fetch phase (measured:
-    24 unreserved workers + 32 task slots thrash instead of scaling).  Size
-    ``fetch_concurrency`` ≈ 3/4 of the CPUs — the split-sink tasks pipeline
-    on the rest as fetch batches complete (wave-width A/B, BASELINE.md
-    2026-08-20: 75% reads +20-30% URLs/s over the earlier half-CPUs rule at
-    both 8 and 32 CPUs)."""
+    round's split and finalize tasks oversubscribe the node during the fetch
+    phase (measured: 24 unreserved workers + 32 task slots thrash instead of
+    scaling).  Size ``fetch_concurrency`` ≈ 3/4 of the CPUs — the split-sink
+    tasks pipeline on the rest as fetch batches complete (wave-width A/B,
+    BASELINE.md 2026-08-20: 75% reads +20-30% URLs/s over the earlier
+    half-CPUs rule at both 8 and 32 CPUs)."""
     def __init__(self, pages_ref, images_ref, fetch_kwargs: dict):
         self.impl = make_fetcher(pages_ref, images_ref, fetch_kwargs)
 
@@ -52,15 +53,14 @@ class FetchWorker:
 
 
 class FetchPool:
-    """K persistent workers; ``submit`` fans row-ranges of frontier blocks
-    across them round-robin and returns the output-table refs."""
+    """K persistent workers; ``submit`` deals row ranges of frontier blocks
+    out to them by work stealing and returns the output-table refs."""
 
     def __init__(self, k: int, pages_ref, images_ref, fetch_kwargs: dict):
         self.k = k
         self.workers = [
             FetchWorker.remote(pages_ref, images_ref, fetch_kwargs) for _ in range(k)
         ]
-        self._rr = 0
         #: duplicates dispatched across the pool's lifetime (observability:
         #: a healthy calm run should keep this at/near zero — a climbing
         #: count on a quiet host means the overdue threshold is too tight)
@@ -68,20 +68,12 @@ class FetchPool:
         # warm: force process spawn + store mapping now, not mid-crawl
         ray.get([w.__ray_ready__.remote() for w in self.workers])
 
-    def submit(self, block_refs: list, counts: list[int], batch_size: int) -> list:
-        futures = []
-        for ref, n in zip(block_refs, counts):
-            for s in range(0, n, batch_size):
-                w = self.workers[self._rr % self.k]
-                self._rr += 1
-                futures.append(w.process.remote(ref, s, min(s + batch_size, n)))
-        return futures
-
-    def submit_dynamic(self, block_refs: list, counts: list[int], batch_size: int,
-                       depth: int = 2, on_done=None, speculate: bool = True) -> list:
+    def submit(self, block_refs: list, counts: list[int], batch_size: int,
+               depth: int = 2, on_done=None, speculate: bool = True) -> list:
         """Work-stealing dispatch: keep ``depth`` batches queued per worker and
         top up as each completes — kills the straggler tail that static
         round-robin leaves when batch costs vary (images vs 45 KB documents).
+        Returns once every batch is done.
         Output refs are returned INDEXED BY TASK ORDER (= seq order), which
         downstream ranking depends on; ``on_done(task_idx, ref)`` fires in
         completion order, exactly once per task.  ``fetch_local=False`` keeps

@@ -123,10 +123,10 @@ class CrawlSpec:
     fetch_batches_per_worker: int = 4
     # rounds of at most this many candidate rows are filtered on the driver,
     # and rounds whose gate leaves at most this many winners are ranked on
-    # the driver, fetched by the pool as one block and sunk from the driver
-    # — the same steps either way (adaptive execution, see
-    # pipelines/crawl.py); 0 sends every round through the remote filter
-    # tasks and the block graph
+    # the driver, fetched by the pool as one block and split on the driver
+    # — the same steps either way, and the same finalize tasks and deferred
+    # drain after the split (adaptive execution, see pipelines/crawl.py);
+    # 0 sends every round through the remote filter tasks and the block graph
     local_round_threshold: int = 4096
     # checkpoint the seen shards every K epochs (resume re-enters at the last
     # snapshotted epoch; K>1 trades resume work for per-round driver time)

@@ -121,7 +121,9 @@ def test_trace_replay_counts_every_fetched_url(ray_session, tmp_path):
     spec = CrawlSpec(max_depth=2, follow_mode=1, seen_shards=2, fetch_concurrency=1)
     job = CrawlJob(spec, pq.read_table(paths["seeds"]), paths["pages"], paths["images"],
                    paths["robots"], str(tmp_path / "job"))
+    t0 = time.perf_counter()
     summary = job.run(max_rounds=10)
+    run_s = time.perf_counter() - t0
     job.shutdown()
     layers = replay.replay(job, Tracer("contract"), str(tmp_path / "replay"))
     layers.update(replay.crawl_phase_metrics(job, summary))
@@ -131,3 +133,6 @@ def test_trace_replay_counts_every_fetched_url(ray_session, tmp_path):
     # every round of this crawl is driver-ranked; its tail marks its phases
     assert layers["crawl.fetch_wave_s"] > 0
     assert layers["crawl.sinks_s"] > 0
+    # the phase marks account for the run: every epoch's drain and finish
+    # falls inside a mark
+    assert sum(job.benchmarks().values()) >= 0.9 * run_s

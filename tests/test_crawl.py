@@ -137,19 +137,27 @@ def test_docs_extracted_with_metadata(engine_run):
     assert negged and "中华人民共和国网络安全法" in negged[0]["negs"]
 
 
-def test_resume_from_checkpoint(ray_session, fixture_paths, golden, tmp_path):
-    """Kill after round 0, resume in a fresh job → same final state."""
+@pytest.mark.parametrize("threshold", [0, 4096])
+def test_resume_from_checkpoint(ray_session, fixture_paths, golden, tmp_path, threshold):
+    """Kill after round 0, resume in a fresh job → same final state, on the
+    block graph (0) and the driver-ranked round (4096).  Either way the
+    round leaves its epoch to the next drain: no done marker until the
+    shutdown drains it."""
     from lightcrawler_ray.pipelines.crawl import CrawlJob
 
     p, paths = fixture_paths
     job_dir = str(tmp_path / "resumable")
-    spec = make_spec()
+    spec = make_spec(local_round_threshold=threshold)
     seeds = pq.read_table(paths["seeds"])
     j1 = CrawlJob(spec, seeds, paths["pages"], paths["images"], paths["robots"], job_dir)
     j1._round(j1._seed_table(), 0, j1.seeds.num_rows)  # only round 0, then "crash"
+    done = os.path.join(job_dir, "epoch=0000", "_EPOCH_DONE")
+    assert not os.path.exists(done)
     j1.shutdown()
+    assert os.path.exists(done)
 
-    j2 = CrawlJob(make_spec(), seeds, paths["pages"], paths["images"], paths["robots"], job_dir)
+    j2 = CrawlJob(make_spec(local_round_threshold=threshold), seeds, paths["pages"],
+                  paths["images"], paths["robots"], job_dir)
     j2.run(max_rounds=10)
     try:
         assert set(j2.seen.members()) == golden.seen
@@ -169,12 +177,16 @@ def _epoch_table(job, d: str, name: str) -> pa.Table | None:
 
 
 def _epoch_outputs(job) -> dict:
-    """Per epoch: frontier (url_md5, enqueue_seq) pairs, the image_id /
-    doc_id sets the sinks kept, and the done marker's ``next_seq``."""
+    """Per epoch: frontier (url_md5, enqueue_seq) pairs, the links
+    checkpoint's (url, parent_seq, link_idx), the kept images with their
+    near-dup verdicts, the kept doc and attachment doc_ids, the metrics row
+    and the done marker's ``next_seq``."""
     import json
 
-    cols = {"frontier": ("url_md5", "enqueue_seq"), "images": ("image_id",),
-            "docs": ("doc_id",)}
+    cols = {"frontier": ("url_md5", "enqueue_seq"),
+            "links": ("url", "parent_seq", "link_idx"),
+            "images": ("image_id", "near_dup_of"), "docs": ("doc_id",),
+            "attachments": ("doc_id",)}
     out = {}
     for d in sorted(os.listdir(job.job_dir)):
         if not d.startswith("epoch="):
@@ -183,6 +195,8 @@ def _epoch_outputs(job) -> dict:
         for name, keys in cols.items():
             t = _epoch_table(job, d, name)
             row[name] = set(zip(*(t.column(c).to_pylist() for c in keys))) if t else set()
+        metrics = _epoch_table(job, d, "metrics")
+        row["metrics"] = metrics.to_pylist() if metrics else []
         with open(os.path.join(job.job_dir, d, "_EPOCH_DONE")) as f:
             row["next_seq"] = json.load(f)["next_seq"]
         out[d] = row
@@ -266,9 +280,10 @@ def test_mixed_path_parity(fixture_paths, reference, tmp_path, threshold, rules)
     """Where a round's filter and rank run (driver or remote tasks / block
     graph) must be semantically invisible: at any threshold the crawl has
     the all-distributed run's membership (with uniform priorities also the
-    simulator's membership and order), and every epoch the same frontier
-    (url_md5, enqueue_seq), kept image/doc ids and next_seq as the
-    all-distributed run (threshold 40 makes rounds straddle it).  Every
+    simulator's membership and order), and every epoch the same
+    ``_epoch_outputs`` — frontier, links checkpoint, sink rows, metrics row
+    and next_seq — as the all-distributed run (threshold 40 makes rounds
+    straddle it).  Every
     links checkpoint is in (parent_seq, link_idx) order, also when
     priority rules make the pop order differ from it."""
     kw = _RULES if rules else {}
@@ -458,12 +473,15 @@ def test_resume_after_actor_death(ray_session, fixture_paths, golden, tmp_path, 
         j2.shutdown()
 
 
-def test_traffic_limit_aborts(ray_session, fixture_paths, tmp_path):
-    """A2 — cumulative-bytes abort stops the crawl early (round granular)."""
+@pytest.mark.parametrize("threshold", [0, 4096])
+def test_traffic_limit_aborts(ray_session, fixture_paths, tmp_path, threshold):
+    """A2 — cumulative-bytes abort stops the crawl early (round granular),
+    counted in the round on both paths: the bytes the loop stopped on are
+    the bytes the drained metrics rows hold."""
     from lightcrawler_ray.pipelines.crawl import CrawlJob
 
     p, paths = fixture_paths
-    spec = make_spec(traffic_limit_bytes=10_000)
+    spec = make_spec(traffic_limit_bytes=10_000, local_round_threshold=threshold)
     seeds = pq.read_table(paths["seeds"])
     job = CrawlJob(spec, seeds, paths["pages"], paths["images"], paths["robots"],
                    str(tmp_path / "traffic"))
@@ -471,6 +489,7 @@ def test_traffic_limit_aborts(ray_session, fixture_paths, tmp_path):
     try:
         assert job.bytes_total >= 10_000  # crossed the limit...
         assert s["links_followed"] < 59   # ...and stopped before the full crawl
+        assert s["bytes_received"] == job.bytes_total
     finally:
         job.shutdown()
 
@@ -528,8 +547,8 @@ def test_robots_disallow_respected(engine_run, golden):
 def test_tail_collapse_parity(ray_session, fixture_paths, golden, tmp_path):
     """A distributed round whose seen gate leaves <= threshold winners must
     collapse to the local tail (its winners ranked in-process by the same
-    ``_rank_block``, no rank/split/finalize tasks) WITHOUT changing order,
-    membership, or sink contents — and the collapse
+    ``_rank_block`` and split in-process, no rank or split tasks) WITHOUT
+    changing order, membership, or sink contents — and the collapse
     must actually fire on this fixture (the BFS tail rounds have large raw
     link counts but tiny unseen remainders)."""
     from lightcrawler_ray.pipelines.crawl import CrawlJob

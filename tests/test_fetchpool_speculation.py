@@ -1,4 +1,4 @@
-"""Tail speculation in FetchPool.submit_dynamic: a worker stalled mid-batch
+"""Tail speculation in FetchPool.submit: a worker stalled mid-batch
 (hypervisor steal here, a slow node on a real cluster) must not gate the
 round — the outstanding batch re-executes on an idle worker, the first copy
 to finish supplies the task's ref, and on_done fires exactly once per task
@@ -44,7 +44,6 @@ def _stub_pool(k: int, gate) -> FetchPool:
     pool = FetchPool.__new__(FetchPool)
     pool.k = k
     pool.workers = [_StubWorker.remote(gate) for _ in range(k)]
-    pool._rr = 0
     pool.speculated_total = 0
     return pool
 
@@ -57,7 +56,7 @@ def test_speculation_beats_stalled_worker(ray_session):
     fired: dict[int, int] = {}
 
     t0 = time.perf_counter()
-    out = pool.submit_dynamic(
+    out = pool.submit(
         [block_ref], [120], batch_size=10,
         on_done=lambda i, ref: fired.__setitem__(i, fired.get(i, 0) + 1),
     )
@@ -82,7 +81,7 @@ def test_no_speculation_still_exact_when_unstalled(ray_session):
     ray.get(gate.try_take.remote())  # burn the token: nobody stalls
     pool = _stub_pool(2, gate)
     block_ref = ray.put(pa.table({"x": pa.array(range(40), pa.int64())}))
-    out = pool.submit_dynamic([block_ref], [40], batch_size=10, speculate=False)
+    out = pool.submit([block_ref], [40], batch_size=10, speculate=False)
     assert [ray.get(r).num_rows for r in out] == [10, 10, 10, 10]
     for w in pool.workers:
         ray.kill(w)
