@@ -20,7 +20,9 @@ Each round (epoch):
                   ─ politeness partitions        per-host crawl-delay schedule (T7),
                     (hash(host) partitions)        ledger walk off the driver
                   ─ persistent fetch pool        fused fetch+extract — bodies never
-                    (plasma-shared page store)     leave the worker
+                    (plasma-shared page store)     leave the worker; each batch's
+                                                   output returns as one Arrow
+                                                   IPC buffer (stages/fetchpool.py)
                   ─ _split_sink tasks            links checkpoint + forward refs;
                                                    per-shard content-key parts
                   ─ content-shard gate_parts +   content dedup D2/D3/D4 + J3 sim
@@ -84,7 +86,8 @@ import ray
 
 from ..functions import hashing
 from ..functions.benchtimer import Benchmark
-from ..stages.fetch import FRONTIER_COLS, OUT_SCHEMA, load_fixture_tables, split_outputs
+from ..stages.fetch import (FRONTIER_COLS, OUT_SCHEMA, from_wire, load_fixture_tables,
+                            split_outputs, to_wire)
 from ..stages.fetchpool import FetchPool
 from ..stages.frontier import CandidateFilter, CrawlSpec
 from ..stages.politeness import SchedulePool, split_sched_parts
@@ -220,7 +223,7 @@ class CrawlJob:
             wm, 0, None, warm_dir, 0, P
         )
         ws = _split_sink.options(num_returns=_SPLIT_META + 3 * kc).remote(
-            OUT_SCHEMA.empty_table(), warm_dir, 0, kc
+            to_wire(OUT_SCHEMA.empty_table()), warm_dir, 0, kc
         )
         wi = _finalize_images.remote(ws[4], {"row": [], "id": []}, {}, warm_dir, 0)
         wd = _finalize_rows.remote(ws[5], warm_dir, 0)
@@ -513,7 +516,7 @@ class CrawlJob:
                                                [sched_parts])
         out_refs = self.fetch_pool.submit([ray.put(front.select(FRONTIER_COLS))], [n_frontier],
                                           self._batch_size(n_frontier))
-        split = _split_project(pa.concat_tables(ray.get(out_refs)), self.content_seen.k)
+        split = _split_project(from_wire(*ray.get(out_refs)), self.content_seen.k)
         links = split[_SPLIT_META - 1]
         links_dir = os.path.join(ed, "links")
         os.makedirs(links_dir, exist_ok=True)
@@ -819,31 +822,6 @@ class CrawlJob:
                 "content_seq": self._content_seq,
                 "anchor_url": self._anchor_url}
 
-    @staticmethod
-    def _image_rows(t: pa.Table) -> pa.Table:
-        """Project fused-output image rows to the IMAGES payload schema +
-        content md5 as url_md5 for the content-seen gate."""
-        if t.num_rows == 0:
-            t = OUT_SCHEMA.empty_table()
-        # md5 straight off the Arrow buffers — no per-payload bytes copy
-        md5s = [hashlib.md5(s.as_buffer() if s.is_valid else b"").hexdigest()
-                for s in t.column("image_bytes")]
-        return pa.table(
-            {
-                "image_id": t.column("image_id"),
-                "bytes": t.column("image_bytes"),
-                "w": t.column("w"),
-                "h": t.column("h"),
-                "fmt": t.column("fmt"),
-                "caption": t.column("caption"),
-                "phash": t.column("phash"),
-                "src_url": t.column("url"),
-                "referer": t.column("referer"),
-                "enqueue_seq": t.column("enqueue_seq"),
-                "url_md5": pa.array(md5s, pa.string()),  # content hash for dedup gate
-            }
-        )
-
     def benchmarks(self) -> dict[str, float]:
         """A4 — whole-job phase decomposition: phase name → accumulated
         seconds across every round (getAllBenchmarks analog)."""
@@ -1116,7 +1094,7 @@ def _split_project(out: pa.Table, kc: int) -> tuple:
         },
         schema=_FETCH_META_SCHEMA,
     )
-    images = CrawlJob._image_rows(kinds["image"])
+    images = _image_rows(kinds["image"])
     img_meta = images.select(["enqueue_seq", "url_md5", "image_id", "phash"]).cast(_IMG_META_SCHEMA)
     docs = _doc_rows(kinds["doc"])
     doc_meta = docs.select(["enqueue_seq", "doc_id", "doc_ori_no", "simhash"]).cast(_DOC_META_SCHEMA)
@@ -1128,14 +1106,39 @@ def _split_project(out: pa.Table, kc: int) -> tuple:
             *_content_key_parts(att_meta, "doc_id", kc))
 
 
+def _image_rows(t: pa.Table) -> pa.Table:
+    """Project fused-output image rows to the IMAGES payload schema +
+    content md5 as url_md5 for the content-seen gate."""
+    if t.num_rows == 0:
+        t = OUT_SCHEMA.empty_table()
+    # md5 straight off the Arrow buffers — no per-payload bytes copy
+    md5s = [hashlib.md5(s.as_buffer() if s.is_valid else b"").hexdigest()
+            for s in t.column("image_bytes")]
+    return pa.table(
+        {
+            "image_id": t.column("image_id"),
+            "bytes": t.column("image_bytes"),
+            "w": t.column("w"),
+            "h": t.column("h"),
+            "fmt": t.column("fmt"),
+            "caption": t.column("caption"),
+            "phash": t.column("phash"),
+            "src_url": t.column("url"),
+            "referer": t.column("referer"),
+            "enqueue_seq": t.column("enqueue_seq"),
+            "url_md5": pa.array(md5s, pa.string()),  # content hash for dedup gate
+        }
+    )
+
+
 @ray.remote
-def _split_sink(out: pa.Table, links_dir: str, part: int, kc: int):
-    """``_split_project`` as a task over one fetch batch
-    (``num_returns=_SPLIT_META + 3*kc`` at the call site) that also writes
-    the batch's links checkpoint part; the next round consumes the links
-    ref directly — no re-read."""
+def _split_sink(out: pa.Buffer, links_dir: str, part: int, kc: int):
+    """``_split_project`` as a task over one fetch batch's wire buffer
+    (``FetchWorker.process``; ``num_returns=_SPLIT_META + 3*kc`` at the
+    call site) that also writes the batch's links checkpoint part; the next
+    round consumes the links ref directly — no re-read."""
     _limit_arrow_threads()
-    rets = _split_project(out, kc)
+    rets = _split_project(from_wire(out), kc)
     _write_part(rets[_SPLIT_META - 1], links_dir, part)
     return rets
 

@@ -321,7 +321,9 @@ class SyntheticFetchExtract:
             i = self._iindex.get(iid)
             if i is None:
                 return 404, "text/html", b"", "", 0
-            return 200, f"image/{self._icols['fmt'][i].as_py()}", self._icols["bytes"][i].as_py(), "", 0
+            # zero-copy over the shared store, like the page bodies below
+            body = memoryview(self._icols["bytes"][i].as_buffer()).cast("B")
+            return 200, f"image/{self._icols['fmt'][i].as_py()}", body, "", 0
         i = self._page_row(url)
         if i is None:
             return 404, "text/html", b"not found", "", 0
@@ -446,9 +448,7 @@ class SyntheticFetchExtract:
             ext = _att_ext_of(url)
             ob.add(
                 "attach", url=url, url_md5=md5,
-                # materialize the payload here: it leaves the worker as an
-                # output row (the page-table body is a zero-copy memoryview)
-                image_bytes=None if spill else bytes(body),
+                image_bytes=None if spill else body,
                 received_to_file=spill is not None,
                 tmp_path=spill["path"] if spill else "",
                 att_ext=ext, att_type=ATT_TYPES.get(ext, 0),
@@ -655,6 +655,24 @@ def fetch_robots(fetcher: SyntheticFetchExtract, host: str, port: int) -> dict |
         if rules["disallow"] or rules["delay_ms"]:
             return rules
     return None
+
+
+def to_wire(t: pa.Table) -> pa.Buffer:
+    """A fused-output table as one Arrow IPC stream buffer — the form a
+    fetch batch leaves its worker in.  Ray pickles a ``pa.Buffer`` as one
+    out-of-band blob, where its own ``pa.Table`` reducer walks every chunk
+    of every ``OUT_SCHEMA`` column in Python on both ends."""
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, OUT_SCHEMA) as w:
+        w.write_table(t)
+    return sink.getvalue()
+
+
+def from_wire(*bufs: pa.Buffer) -> pa.Table:
+    """The fused-output table of one or more ``to_wire`` buffers, in order;
+    the columns are zero-copy views of the buffers."""
+    tables = [pa.ipc.open_stream(b).read_all() for b in bufs]
+    return pa.concat_tables(tables) if tables else OUT_SCHEMA.empty_table()
 
 
 def split_outputs(out_table: pa.Table) -> dict[str, pa.Table]:
