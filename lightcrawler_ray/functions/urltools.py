@@ -28,7 +28,6 @@ import functools
 import hashlib
 import html as _html
 import re
-from urllib.parse import quote, unquote
 
 import numpy as np
 import pyarrow as pa
@@ -254,12 +253,6 @@ def host_of(url: str) -> str:
     return str(p["host"]) if p else ""
 
 
-def quote_url(url: str) -> str:
-    """Percent-encode raw non-ASCII (CJK paths appear in the reference's
-    attachment URLs, worker/ExtractContent.class.php:775)."""
-    return quote(url, safe=":/?#[]@!$&'()*+,;=%~-._")
-
-
 # ---------------------------------------------------------------------------
 # Batch wrappers (what map_batches calls) — Arrow column in, numpy out.
 
@@ -267,10 +260,6 @@ def quote_url(url: str) -> str:
 def canonicalize_batch(urls: pa.Array | np.ndarray | list[str]) -> np.ndarray:
     vals = urls.to_pylist() if isinstance(urls, (pa.Array, pa.ChunkedArray)) else list(urls)
     return np.array([canonicalize(u) or "" for u in vals], dtype=object)
-
-
-def resolve_batch(bases: list[str], links: list[str]) -> np.ndarray:
-    return np.array([resolve(b, l) or "" for b, l in zip(bases, links)], dtype=object)
 
 
 def md5_batch(urls: pa.Array | list[str]) -> np.ndarray:

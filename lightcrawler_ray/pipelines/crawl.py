@@ -26,9 +26,14 @@ Each round (epoch):
                   ─ _split_sink tasks            links checkpoint + forward refs;
                                                    per-shard content-key parts
                   ─ content-shard gate_parts +   content dedup D2/D3/D4 + J3 sim
-                    sim band shards + deferred     gate — sharded like the URL-seen
-                    finalize writes                set; keep-rows travel by ref and
-                                                   writes overlap the next round
+                    sim band shards              gate — sharded like the URL-seen
+                    (_doc_stage2, _doc_stage3    set; 3 tasks per block, 1 per
+                    per block, _image_dup_task   round; winner rows travel by ref
+                    per round)
+                  ─ _finalize_block tasks        one per block: images (with
+                    (deferred)                     near_dup_of), docs after the J3
+                                                   resolve, attachments; the writes
+                                                   overlap the next round
 
 State: partition i of the URL-seen table, the content-seen table, the
 politeness ledger and the sim-band index share one ``num_cpus=0`` state
@@ -225,9 +230,9 @@ class CrawlJob:
         ws = _split_sink.options(num_returns=_SPLIT_META + 3 * kc).remote(
             to_wire(OUT_SCHEMA.empty_table()), warm_dir, 0, kc
         )
-        wi = _finalize_images.remote(ws[4], {"row": [], "id": []}, {}, warm_dir, 0)
-        wd = _finalize_rows.remote(ws[5], warm_dir, 0)
-        ray.get([wf[0], wm, wr[0], wi, wd])
+        wb = _finalize_block.remote(ws[4], ws[5], ws[6], {}, (warm_dir,) * 3, 0, kc,
+                                    {"row": np.zeros(0, np.int64)})
+        ray.get([wf[0], wm, wr[0], wb])
         import shutil
 
         shutil.rmtree(warm_dir, ignore_errors=True)
@@ -657,13 +662,14 @@ class CrawlJob:
     def _sink_round(self, epoch: int, ed: str, splits: list, fetch_small: pa.Table,
                     gate: tuple[int, int], sched_futs: list, n_frontier: int) -> int:
         """Every fetched round's tail, from the split on: the content flow,
-        the previous epoch's drain, this epoch's per-block finalize writes,
-        and the stash its own drain finishes (metrics, snapshot, done
-        marker) while the next round filters and gates.  ``splits`` holds
-        the ``_split_project`` returns per fetch batch: ``_split_sink`` refs
-        in the block graph, the driver-ranked round's one in-process tuple;
-        ``fetch_small`` is the round's fetch metas, gathered.  Counts the
-        round's fetches and bytes and returns its link count."""
+        the previous epoch's drain, one ``_finalize_block`` task per fetched
+        block (its images, docs and attachments), and the stash its own
+        drain finishes (metrics, snapshot, done marker) while the next round
+        filters and gates.  ``splits`` holds the ``_split_project`` returns
+        per fetch batch: ``_split_sink`` refs in the block graph, the
+        driver-ranked round's one in-process tuple; ``fetch_small`` is the
+        round's fetch metas, gathered.  Counts the round's fetches and bytes
+        and returns its link count."""
         self.fetched += n_frontier
         self.bytes_total += int(pc.sum(fetch_small.column("bytes_received")).as_py() or 0)
         self._note_content(fetch_small.column("status").to_pylist(),
@@ -676,38 +682,23 @@ class CrawlJob:
         n_links = int(pc.sum(fetch_small.column("n_links")).as_py() or 0)
 
         kc = self.content_seen.k
-        nb = len(splits)
         cols = list(zip(*splits))
-        img_metas, doc_metas = cols[1], cols[2]
-        img_fulls, doc_fulls, att_fulls = cols[4], cols[5], cols[6]
-        img_parts = cols[_SPLIT_META:_SPLIT_META + kc]            # [shard][block]
-        doc_parts = cols[_SPLIT_META + kc:_SPLIT_META + 2 * kc]
-        att_parts = cols[_SPLIT_META + 2 * kc:_SPLIT_META + 3 * kc]
         # content dedup verdicts (D2/D3/D4, J2/J3) — sharded off the driver:
         # key parts flow split → content shard → finalize by ref; the driver
         # only wires the task graph (no verdict rows, no barrier)
-        img_kept, dup_ref, doc_keep, att_w = self._content_flow(
-            nb, img_metas, doc_metas, img_parts, doc_parts, att_parts
+        dup_ref, verdicts = self._content_flow(
+            cols[1], cols[2], *[cols[_SPLIT_META + i * kc:_SPLIT_META + (i + 1) * kc]
+                                for i in range(3)]
         )
-        dirs = [os.path.join(ed, name) for name in ("images", "docs", "attachments")]
+        dirs = tuple(os.path.join(ed, name) for name in ("images", "docs", "attachments"))
         for d in dirs:
             os.makedirs(d, exist_ok=True)
-        img_dir, doc_dir, att_dir = dirs
         # the previous epoch's deferred writes have had this whole round to
         # finish — drain them now, BEFORE stashing ours (done markers must
         # land in epoch order for resume correctness)
         self._drain_pending()
-        writes = [
-            _finalize_images.remote(img_fulls[b], img_kept[b], dup_ref, img_dir, b)
-            for b in range(nb)
-        ] + [
-            _finalize_rows.remote(doc_fulls[b], doc_dir, b, doc_keep[b])
-            for b in range(nb)
-        ] + [
-            _finalize_rows.remote(att_fulls[b], att_dir, b,
-                                  *[att_w[s][b] for s in range(kc)])
-            for b in range(nb)
-        ]
+        writes = [_finalize_block.remote(*payload, dup_ref, dirs, b, kc, *verdicts[b])
+                  for b, payload in enumerate(zip(*cols[4:7]))]
         self._mark("sinks")
 
         # state snapshots are SUBMITTED now (actor mailboxes pin them to
@@ -715,14 +706,13 @@ class CrawlJob:
         # drain — the payload writes + metrics + done marker defer the same
         # way, so nothing verdict-shaped blocks this round
         self._pending = dict(
-            ed=ed, epoch=epoch, writes=writes, n_img=nb, sched_futs=sched_futs,
-            dirs=dirs + [os.path.join(ed, "schedule")], fetch_small=fetch_small, gate=gate,
+            ed=ed, epoch=epoch, writes=writes, sched_futs=sched_futs,
+            dirs=[*dirs, os.path.join(ed, "schedule")], fetch_small=fetch_small, gate=gate,
             snap_refs=self._snapshot_refs(epoch), meta=self._done_meta(n_frontier, n_links),
         )
         return n_links
 
-    def _content_flow(self, nb: int, img_metas, doc_metas,
-                      img_parts, doc_parts, att_parts):
+    def _content_flow(self, img_metas, doc_metas, img_parts, doc_parts, att_parts):
         """Content-dedup verdicts (D2/D3/D4, J2/J3) with NO round-sized state
         on the driver — the SeenShard pattern applied to content keys.
 
@@ -732,18 +722,22 @@ class CrawlJob:
         DaoXlegalLawContentRecord.class.php:98-101):
 
           images  key = content md5   → keep-first winners        (D2/J2)
+                  → one ``_image_dup_task`` per round annotates
+                  near-dups among the round's winners
           docs    key = doc_id        → stage-2 task extracts the
                   surviving rows' namespaced doc_ori_no keys      (D4)
                   → stage-3 task merges the ori winners and feeds
-                  the sim band shards; a per-block resolve task
-                  applies the near-dup + doc_ori_no-override rule (D3/J3)
+                  the sim band shards; ``_finalize_block`` applies
+                  the near-dup + doc_ori_no-override rule        (D3/J3)
           attach  key = content md5   → keep-first winners
 
-        Everything returned is an ObjectRef: per-block kept-image metas, the
-        round's image near-dup annotation map, per-block doc keep-row
-        arrays, and per-shard-per-block attachment winner rows.  The caller
-        wires them straight into the finalize writers."""
-        kc = self.content_seen.k
+        ``*_metas`` are per block, ``*_parts`` per shard then block.
+        Returns the round's image near-dup map ref and, per block, the
+        ``_finalize_block`` verdict args: its stage-3 doc part, kc image
+        winner refs, kc attachment winner refs, then its sim band hit refs
+        (none when J3 is off).  Three tasks per block and one per round;
+        the driver only wires the graph."""
+        kc, nb = self.content_seen.k, len(img_metas)
         img_w = self.content_seen.gate_round(img_parts)[1]
         doc_w = self.content_seen.gate_round(doc_parts)[1]
         surv, oparts = [None] * nb, [[None] * nb for _ in range(kc)]
@@ -761,22 +755,13 @@ class CrawlJob:
             for b in range(nb)
         ]
         h = self.spec.doc_near_dup_hamming
-        if h >= 0:
-            band_hits = self.docsim.query_parts_refs(h, sim_parts)
-            doc_keep = [
-                _doc_resolve.remote(
-                    sim_parts[b], *[band_hits[band][b] for band in range(len(band_hits))]
-                )
-                for b in range(nb)
-            ]
-        else:
-            doc_keep = [_doc_resolve.remote(sim_parts[b]) for b in range(nb)]
-        img_kept = [
-            _img_kept.remote(img_metas[b], *[img_w[s][b] for s in range(kc)])
-            for b in range(nb)
-        ]
-        dup_ref = _image_dup_task.remote(*img_kept)
-        return img_kept, dup_ref, doc_keep, att_w
+        band_hits = self.docsim.query_parts_refs(h, sim_parts) if h >= 0 else []
+        dup_ref = _image_dup_task.remote(
+            kc, *[x for b in range(nb) for x in (img_metas[b], *[img_w[s][b] for s in range(kc)])]
+        )
+        verdicts = [(sim_parts[b], *[w[b] for w in (*img_w, *att_w, *band_hits)])
+                    for b in range(nb)]
+        return dup_ref, verdicts
 
     def _drain_pending(self) -> None:
         """Finish the stashed epoch: gather its finalize writes and ledger
@@ -791,7 +776,7 @@ class CrawlJob:
         for d in p["dirs"]:
             storage.mark_complete(d)
         if p["fetch_small"] is not None:
-            metrics = _metrics_from_table(p["fetch_small"], int(sum(res[: p["n_img"]])),
+            metrics = _metrics_from_table(p["fetch_small"], int(sum(res[:len(p["writes"])])),
                                           p["epoch"], *p["gate"])
             storage.commit_table(metrics, os.path.join(p["ed"], "metrics"))
         # the snapshot refs were submitted during the epoch (mailbox-ordered),
@@ -1073,9 +1058,11 @@ def _split_project(out: pa.Table, kc: int) -> tuple:
     every round's split: ``_split_sink`` runs it per fetch batch,
     ``_local_tail`` once over a driver-ranked round's pooled output.
     Returns the fetch, image, doc and attachment metas, the full
-    image/doc/attachment tables for the writers, the links table, then the
-    metas' per-content-shard gate parts (kc image, kc doc, kc attachment),
-    so the dedup verdicts never need the payload rows."""
+    image/doc/attachment tables for ``_finalize_block`` as ``to_wire``
+    buffers (one blob each through Ray, not its per-column ``pa.Table``
+    reducer), the links table, then the metas' per-content-shard gate parts
+    (kc image, kc doc, kc attachment), so the dedup verdicts never need the
+    payload rows."""
     kinds = split_outputs(out)
     links = kinds["link"].select(_LINK_COLS)
     f = kinds["fetch"]
@@ -1100,7 +1087,8 @@ def _split_project(out: pa.Table, kc: int) -> tuple:
     doc_meta = docs.select(["enqueue_seq", "doc_id", "doc_ori_no", "simhash"]).cast(_DOC_META_SCHEMA)
     atts = _att_rows(kinds["attach"])
     att_meta = atts.select(["enqueue_seq", "doc_id"]).cast(_ATT_META_SCHEMA)
-    return (fetch_meta, img_meta, doc_meta, att_meta, images, docs, atts, links,
+    return (fetch_meta, img_meta, doc_meta, att_meta,
+            to_wire(images), to_wire(docs), to_wire(atts), links,
             *_content_key_parts(img_meta, "url_md5", kc),
             *_content_key_parts(doc_meta, "doc_id", kc),
             *_content_key_parts(att_meta, "doc_id", kc))
@@ -1196,10 +1184,10 @@ def _doc_stage3(surv: dict, *ori_winners) -> dict:
     }
 
 
-@ray.remote
 def _doc_resolve(part: dict, *band_hits) -> np.ndarray:
-    """J3: drop near-dups unless numbered (the doc_ori_no override) — a doc
-    is a near-dup when ANY sim band reported a stored hit."""
+    """J3: the doc rows ``_finalize_block`` writes — near-dups are dropped
+    unless numbered (the doc_ori_no override); a doc is a near-dup when ANY
+    sim band reported a stored hit."""
     if not band_hits:
         return part["row"]
     h = np.stack([np.asarray(b, dtype=np.int64) for b in band_hits])
@@ -1208,35 +1196,23 @@ def _doc_resolve(part: dict, *band_hits) -> np.ndarray:
 
 
 @ray.remote
-def _img_kept(img_meta: pa.Table, *winners) -> dict:
-    """Kept-image projection for the near-dup annotation + finalize write."""
-    rows = _merge_winner_rows(winners)
-    t = img_meta.take(pa.array(rows, pa.int64()))
-    return {
-        "row": rows,
-        "id": t.column("image_id").to_pylist(),
-        "phash": np.asarray(t.column("phash").to_numpy(zero_copy_only=False), dtype=np.int64),
-        "seq": np.asarray(t.column("enqueue_seq").to_numpy(zero_copy_only=False), dtype=np.int64),
-    }
-
-
-@ray.remote
-def _image_dup_task(*kept: dict) -> dict:
+def _image_dup_task(kc: int, *flat) -> dict:
     """Round-level image near-dup ANNOTATION (D3 for the image sink): banded
-    phash LSH over the round's kept images.  Per band bucket the earliest
-    (min-seq) member is canonical; later members within hamming ≤ 8 of it
-    map to it, multi-band hits resolving to the earliest canonical.  Blocks
-    arrive in seq order so concatenation preserves it.  Pure within-round
-    metadata → one task per round, never the driver; the cross-ROUND image
-    dedup is the exact md5 content gate (images are annotated, not dropped,
-    matching the sink's near_dup_of column contract)."""
-    ids: list[str] = []
-    for p in kept:
-        ids.extend(p["id"])
-    if not ids:
+    phash LSH over the round's kept images.  ``flat`` packs, per block in
+    seq order, its image metas followed by its kc content-gate winner row
+    arrays (``_merge_winner_blocks``), so the kept rows concatenate in seq
+    order.  Per band bucket the earliest (min-seq) member is canonical;
+    later members within hamming ≤ 8 of it map to it, multi-band hits
+    resolving to the earliest canonical.  Pure within-round metadata → one
+    task per round, never the driver; the cross-ROUND image dedup is the
+    exact md5 content gate (images are annotated, not dropped, matching the
+    sink's near_dup_of column contract)."""
+    kept = _merge_winner_blocks(kc, *flat)
+    if not kept.num_rows:
         return {}
-    ph = np.concatenate([np.asarray(p["phash"], dtype=np.int64) for p in kept]).view(np.uint64)
-    seqs = np.concatenate([np.asarray(p["seq"], dtype=np.int64) for p in kept])
+    ids = kept.column("image_id").to_pylist()
+    ph = np.asarray(kept.column("phash").to_numpy(zero_copy_only=False), dtype=np.int64).view(np.uint64)
+    seqs = np.asarray(kept.column("enqueue_seq").to_numpy(zero_copy_only=False), dtype=np.int64)
     bands = hashing.simhash_bands(ph, 4)
     best_seq: dict[str, int] = {}
     best_id: dict[str, str] = {}
@@ -1267,19 +1243,24 @@ def _write_part(t: pa.Table, out_dir: str, part: int) -> int:
 
 
 @ray.remote
-def _finalize_images(images: pa.Table, kept: dict, dup_map: dict, out_dir: str, part: int) -> int:
-    """Write the block's kept images with the round's near-dup verdict
-    column (``_image_dup_task``)."""
-    t = images.take(pa.array(kept["row"], pa.int64()))
-    col = pa.array([dup_map.get(i, "") for i in kept["id"]], pa.string())
-    return _write_part(t.append_column("near_dup_of", col), out_dir, part)
-
-
-@ray.remote
-def _finalize_rows(t: pa.Table, out_dir: str, part: int, *winners) -> int:
-    """Write the block rows selected by the (per-shard) winner row arrays."""
-    rows = _merge_winner_rows(winners)
-    return _write_part(_hydrate_spilled(t.take(pa.array(rows, pa.int64()))), out_dir, part)
+def _finalize_block(images: pa.Buffer, docs: pa.Buffer, atts: pa.Buffer, dup_map: dict,
+                    dirs: tuple, part: int, kc: int, doc_part: dict, *winners) -> int:
+    """One fetched block's sink tail, the reference's per-document sink
+    (DaoXlegalLawContentRecord.class.php:98-101) over a block: write the
+    content-gate winning images with the round's ``near_dup_of``
+    (``_image_dup_task``), the docs the J3 resolve keeps (``_doc_resolve``
+    over the stage-3 ``doc_part``) and the winning attachments, each as
+    part ``part`` of its ``dirs`` entry (images, docs, attachments).  The
+    payloads are ``_split_project``'s wire buffers; ``winners`` packs the
+    kc image winner row arrays, the kc attachment ones, then the block's
+    sim band hits.  Returns the block's image count for the metrics row."""
+    t = from_wire(images).take(pa.array(_merge_winner_rows(winners[:kc]), pa.int64()))
+    col = pa.array([dup_map.get(i, "") for i in t.column("image_id").to_pylist()], pa.string())
+    n_img = _write_part(t.append_column("near_dup_of", col), dirs[0], part)
+    for buf, rows, d in ((docs, _doc_resolve(doc_part, *winners[2 * kc:]), dirs[1]),
+                         (atts, _merge_winner_rows(winners[kc:2 * kc]), dirs[2])):
+        _write_part(_hydrate_spilled(from_wire(buf).take(pa.array(rows, pa.int64()))), d, part)
+    return n_img
 
 
 def _hydrate_spilled(t: pa.Table) -> pa.Table:
@@ -1360,7 +1341,6 @@ def _metrics_from_table(fetch: pa.Table, n_images: int, epoch: int,
     return pa.table(
         {
             "epoch": pa.array([epoch], pa.int32()),
-            "partition": pa.array([0], pa.int32()),
             "links_followed": pa.array([vals["links_followed"]], pa.int64()),
             "documents_received": pa.array([vals["documents_received"]], pa.int64()),
             "bytes_received": pa.array([vals["bytes_received"]], pa.int64()),

@@ -114,7 +114,6 @@ DOCUMENT = pa.schema(
 METRICS = pa.schema(
     [
         ("epoch", pa.int32()),
-        ("partition", pa.int32()),
         ("links_followed", pa.int64()),
         ("documents_received", pa.int64()),
         ("bytes_received", pa.int64()),

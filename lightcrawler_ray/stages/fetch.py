@@ -658,19 +658,21 @@ def fetch_robots(fetcher: SyntheticFetchExtract, host: str, port: int) -> dict |
 
 
 def to_wire(t: pa.Table) -> pa.Buffer:
-    """A fused-output table as one Arrow IPC stream buffer — the form a
-    fetch batch leaves its worker in.  Ray pickles a ``pa.Buffer`` as one
+    """A table as one Arrow IPC stream buffer under its own schema — the
+    form a fetch batch leaves its worker in, and the split's payload tables
+    reach their finalize task in.  Ray pickles a ``pa.Buffer`` as one
     out-of-band blob, where its own ``pa.Table`` reducer walks every chunk
-    of every ``OUT_SCHEMA`` column in Python on both ends."""
+    of every column in Python on both ends."""
     sink = pa.BufferOutputStream()
-    with pa.ipc.new_stream(sink, OUT_SCHEMA) as w:
+    with pa.ipc.new_stream(sink, t.schema) as w:
         w.write_table(t)
     return sink.getvalue()
 
 
 def from_wire(*bufs: pa.Buffer) -> pa.Table:
-    """The fused-output table of one or more ``to_wire`` buffers, in order;
-    the columns are zero-copy views of the buffers."""
+    """The table of one or more ``to_wire`` buffers of one schema, in order
+    (no buffers: an empty fused-output table); the columns are zero-copy
+    views of the buffers."""
     tables = [pa.ipc.open_stream(b).read_all() for b in bufs]
     return pa.concat_tables(tables) if tables else OUT_SCHEMA.empty_table()
 

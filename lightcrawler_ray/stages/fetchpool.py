@@ -34,6 +34,8 @@ import ray
 
 from .fetch import fetch_robots, make_fetcher, to_wire
 
+_QUEUE_DEPTH = 2  # batches ``FetchPool.submit`` keeps queued per worker
+
 
 @ray.remote(num_cpus=1)
 class FetchWorker:
@@ -84,8 +86,8 @@ class FetchPool:
         ray.get([w.__ray_ready__.remote() for w in self.workers])
 
     def submit(self, block_refs: list, counts: list[int], batch_size: int,
-               depth: int = 2, on_done=None, speculate: bool = True) -> list:
-        """Work-stealing dispatch: keep ``depth`` batches queued per worker and
+               on_done=None, speculate: bool = True) -> list:
+        """Work-stealing dispatch: keep ``_QUEUE_DEPTH`` batches queued per worker and
         top up as each completes — kills the straggler tail that static
         round-robin leaves when batch costs vary (images vs 45 KB documents).
         Returns once every batch is done.
@@ -167,7 +169,7 @@ class FetchPool:
             return True
 
         for w in self.workers:
-            for _ in range(depth):
+            for _ in range(_QUEUE_DEPTH):
                 if not feed(w):
                     break
         while n_done < n_tasks:

@@ -137,8 +137,3 @@ def mark_complete(path: str, meta: dict[str, Any] | None = None) -> None:
 
 def is_complete(path: str) -> bool:
     return os.path.isfile(os.path.join(path, _SUCCESS))
-
-
-def read_manifest(path: str) -> dict[str, Any]:
-    with open(os.path.join(path, _SUCCESS), encoding="utf-8") as f:
-        return json.load(f)
