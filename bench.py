@@ -106,7 +106,6 @@ def bench_crawl(ncpu: int) -> dict:
         # the pool; only the genuinely tiny head/tail rounds stay local
         local_round_threshold=256,
         snapshot_every=4,
-        fetch_batches_per_worker=4,
     )
     r = _run_job(spec, paths, job_dir)
     shutil.rmtree(job_dir, ignore_errors=True)

@@ -1,39 +1,39 @@
 """The crawl round driver — iterative BFS over Dataset rounds with
 per-epoch checkpointing (SURVEY.md §3 "Ray-Data restatement").
 
-Each round (epoch):
+Each round (epoch) is one body, ``CrawlJob._round``:
 
-  link block refs ─ _filter_extract tasks        canonicalize+filter (M1-M3, M8, O2,
-                    (fused filter + key split)     T5) once per distinct URL; block
-                                                   cut to its min-rank row per key
-                                                   + per-seen-shard key parts
-                  ─ seen-shard gate_parts        within-round dedup D1 across
-                    (one fused call per shard)     blocks + cross-round gate T1,
-                                                   deterministic min-rank
-                                                   winners; only COUNTS hit the driver
-                  ─ _rank_block                  every winner numbered offset +
-                    (no sort: blocks arrive        arange (O1) — link blocks are
-                    in rank order by               emitted in (parent_seq, link_idx)
-                    construction)                  order; the request budget A2 keeps
-                                                   the top winners by (priority desc,
-                                                   enqueue_seq) from per-block counts
-                  ─ politeness partitions        per-host crawl-delay schedule (T7),
-                    (hash(host) partitions)        ledger walk off the driver
-                  ─ persistent fetch pool        fused fetch+extract — bodies never
-                    (plasma-shared page store)     leave the worker; each batch's
-                                                   output returns as one Arrow
-                                                   IPC buffer (stages/fetchpool.py)
-                  ─ _split_sink tasks            links checkpoint + forward refs;
-                                                   per-shard content-key parts
-                  ─ content-shard gate_parts +   content dedup D2/D3/D4 + J3 sim
-                    sim band shards              gate — sharded like the URL-seen
-                    (_doc_stage2, _doc_stage3    set; 3 tasks per block, 1 per
-                    per block, _image_dup_task   round; winner rows travel by ref
-                    per round)
-                  ─ _finalize_block tasks        one per block: images (with
-                    (deferred)                     near_dup_of), docs after the J3
-                                                   resolve, attachments; the writes
-                                                   overlap the next round
+  link blocks ─ _filter_and_split              canonicalize+filter (M1-M3, M8, O2,
+                (fused filter + key split)       T5) once per distinct URL; block
+                                                 cut to its min-rank row per key
+                                                 + per-seen-shard key parts
+              ─ seen-shard gate_parts          within-round dedup D1 across
+                (one fused call per shard)       blocks + cross-round gate T1,
+                                                 deterministic min-rank
+                                                 winners; only COUNTS hit the driver
+              ─ _rank_block per rank unit      every winner numbered offset +
+                (no sort: blocks arrive in       arange (O1) — link blocks are
+                rank order by construction)      emitted in (parent_seq, link_idx)
+                                                 order; the request budget A2 keeps
+                                                 the top winners by (priority desc,
+                                                 enqueue_seq) from per-unit counts
+              ─ politeness partitions          per-host crawl-delay schedule (T7),
+                (hash(host) partitions)          ledger walk off the driver
+              ─ persistent fetch pool          fused fetch+extract — bodies never
+                (plasma-shared page store)       leave the worker; each batch's
+                                                 output returns as one Arrow
+                                                 IPC buffer (stages/fetchpool.py)
+              ─ _split_links                   links checkpoint + forward refs;
+                                                 per-shard content-key parts
+              ─ content-shard gate_parts +     content dedup D2/D3/D4 + J3 sim
+                sim band shards                  gate — sharded like the URL-seen
+                (_doc_stage2, _doc_stage3        set; 3 tasks per block, 1 per
+                per block, _image_dup_task       round; winner rows travel by ref
+                per round)
+              ─ _finalize_block tasks          one per block: images (with
+                (deferred)                       near_dup_of), docs after the J3
+                                                 resolve, attachments; the writes
+                                                 overlap the next round
 
 State: partition i of the URL-seen table, the content-seen table, the
 politeness ledger and the sim-band index share one ``num_cpus=0`` state
@@ -46,16 +46,17 @@ actor.
 
 Adaptive execution: a BFS crawl has a characteristic frontier profile — a few
 huge middle rounds flanked by tiny head/tail rounds (seed fan-out, redirect
-chains).  Every round runs the same steps — the ``_filter_and_split`` filter,
-the seen shards' ``gate_parts``, the ``_rank_block`` rank — and round size
-only picks WHERE they run.  A round of at most ``spec.local_round_threshold``
-candidates is filtered in-process on the driver (no task hop); a larger one
-in remote filter tasks.  A gate that leaves at most that many winners is
-merged into one block and ranked in-process; ``_local_tail`` hands it to the
-fetch pool as one block and splits the pooled output in-process
-(``_split_project``) instead of in per-batch ``_split_sink`` tasks.  A larger
-one goes through the block graph above, whose scheduling cost only pays off
-at size.  Every round fetches on the pool, so the workers' client state
+chains).  Each step above is written once, and round size only picks whether
+the filter, rank and split run as a plain call on one block or as a task per
+block.  A round of at most ``spec.local_round_threshold`` candidates is
+filtered in-process on the driver (no task hop), a larger one in a
+``_filter_extract`` task per coalesced group.  A gate that leaves at most
+that many winners makes a driver-ranked round: its winners are merged into
+one rank unit, ranked in-process, fetched by the pool as one block and split
+once, in-process, over the pooled output.  A larger one runs as the block
+graph — a ``_rank_sched_write_block`` task per rank unit, a ``_split_sink``
+task per fetch batch as it lands — whose scheduling cost only pays off at
+size.  Every round fetches on the pool, so the workers' client state
 (cookies, DNS cache) is the crawl's only one, and every fetched round ends in
 the same ``_sink_round``: content flow, finalize tasks, and metrics, snapshot
 and done marker deferred to the next round's drain.  At 10^10-URL scale the
@@ -228,7 +229,7 @@ class CrawlJob:
             wm, 0, None, warm_dir, 0, P
         )
         ws = _split_sink.options(num_returns=_SPLIT_META + 3 * kc).remote(
-            to_wire(OUT_SCHEMA.empty_table()), warm_dir, 0, kc
+            warm_dir, 0, kc, to_wire(OUT_SCHEMA.empty_table())
         )
         wb = _finalize_block.remote(ws[4], ws[5], ws[6], {}, (warm_dir,) * 3, 0, kc,
                                     {"row": np.zeros(0, np.int64)})
@@ -280,11 +281,10 @@ class CrawlJob:
     def _batch_size(self, n: int) -> int:
         """Adaptive fetch batch size: a small round must still spread across
         the whole pool (at batch_size=256 a 469-URL round is TWO tasks no
-        matter how many workers exist) — target fetch_batches_per_worker
+        matter how many workers exist) — target ``_BATCHES_PER_WORKER``
         batches per worker so the depth-2 stealing queue stays non-empty."""
-        s = self.spec
-        return max(16, min(s.fetch_batch_size,
-                           -(-n // (s.fetch_batches_per_worker * self.fetch_pool.k))))
+        return max(16, min(self.spec.fetch_batch_size,
+                           -(-n // (_BATCHES_PER_WORKER * self.fetch_pool.k))))
 
     def _derive_seed_scope(self) -> None:
         from ..functions import urltools as ut
@@ -341,7 +341,7 @@ class CrawlJob:
         self.bench.stop("final_drain")
         return self.summary()
 
-    def _resume_point(self) -> tuple[int, "list | pa.Table", int | None]:
+    def _resume_point(self) -> tuple[int, list, int | None]:
         done = sorted(
             int(d.split("=")[1])
             for d in os.listdir(self.job_dir)
@@ -350,7 +350,7 @@ class CrawlJob:
             and os.path.isfile(os.path.join(self.job_dir, d, "seen.npz"))
         )
         if not done:
-            return 0, self._seed_table(), self.seeds.num_rows
+            return 0, [self._seed_table()], self.seeds.num_rows
         last = done[-1]
         with open(os.path.join(self._epoch_dir(last), "_EPOCH_DONE")) as f:
             meta = json.load(f)
@@ -387,24 +387,28 @@ class CrawlJob:
         self._mark_t = now
 
     def _round(self, candidates, epoch: int, n_hint: int | None):
-        """One round: candidate filter, seen gate, then rank, fetch, sinks.
+        """One round: candidate filter, seen gate, rank, fetch, split, then
+        ``_sink_round`` (or ``_empty_round``), which finishes the PREVIOUS
+        epoch and leaves this one to the next drain.
 
-        Every round filters through ``_filter_and_split``, gates through
-        the seen shards' ``gate_parts`` and ranks through ``_rank_block``;
-        round size only picks where the steps run.  A round of at most
-        ``local_round_threshold`` candidates is filtered in-process (unless
-        the previous round already speculated its filter tasks), a larger
-        one in remote tasks.  A gate that leaves at most that many winners
-        is ranked in-process as one block (``_local_tail``), a larger one
-        in block-graph tasks (``_round_graph``).  Either way every winner
-        is numbered before the request budget keeps its top rows, and the
-        round ends in ``_sink_round`` (or ``_empty_round``), which finishes
-        the PREVIOUS epoch and leaves this one to the next drain.
+        Each step is written once; round size only picks whether it runs as
+        a plain call on one block or as a task per block.  A round of at
+        most ``local_round_threshold`` candidates is filtered in-process as
+        one block (unless the previous round already speculated its filter
+        tasks), a larger one in a ``_filter_extract`` task per coalesced
+        group.  A gate that leaves at most that many winners makes a
+        driver-ranked round: one rank unit (``_rank_groups``), merged and
+        ranked in-process, fetched by the pool as one block and split once
+        over the pooled output.  A larger one runs the block graph: a rank
+        task per unit, a ``_split_sink`` task per fetch batch as it lands
+        and, once content is found, the next round's filter speculated on
+        each batch's links.  Either way every winner is numbered before the
+        request budget keeps its top rows.
 
-        ``candidates`` is an Arrow table (seeds / a driver-ranked round's
-        links) or a list of block ObjectRefs (the previous block-graph
-        round's link tables, carried in the object store — no re-read — or
-        the resumed epoch's links parts)."""
+        ``candidates`` is a list of link blocks in (parent_seq, link_idx)
+        order, each a Table or an ObjectRef: the seeds, the previous round's
+        links (the block graph's stay in the object store — no re-read) or
+        the resumed epoch's links parts.  A bare Table is one block."""
         spec = self.spec
         self._mark_t = time.perf_counter()
         ed = self._epoch_dir(epoch)
@@ -416,44 +420,30 @@ class CrawlJob:
 
             shutil.rmtree(ed)
         os.makedirs(ed, exist_ok=True)
-        k = self.seen.k
+        if isinstance(candidates, pa.Table):
+            candidates = [candidates]
+        k, P, kc = self.seen.k, self.sched.p, self.content_seen.k
         small = n_hint is not None and n_hint <= spec.local_round_threshold
-        in_process = False
+        # filter: per block, the filtered rows followed by k seen-key parts
         pf, self._prefilter = self._prefilter, None
-        if (isinstance(candidates, list) and pf is not None
-                and pf["key"] == tuple(r.hex() for r in candidates)):
+        if pf is not None and pf["links"] is candidates:
             # the previous round speculated these filter tasks against its
             # in-flight link refs — they are done (or finishing) by now
-            blocks, keymat = pf["filt"], pf["keymat"]
+            filt = pf["filt"]
         elif small:
-            if isinstance(candidates, list):
-                candidates = [t for t in ray.get(candidates) if t.num_rows]
-            else:
-                candidates = [candidates]
-            out = _filter_and_split(spec, self.robots, k, self._content_seq,
-                                    self._lazy_robots,
-                                    *(candidates or [_empty_links_table()]))
-            blocks, keymat, in_process = [out[0]], [out[1:]], True
+            tables = [t for t in _gather(candidates) if t.num_rows] or [_empty_links_table()]
+            filt = [_filter_and_split(spec, self.robots, k, self._content_seq,
+                                      self._lazy_robots, *tables)]
         else:
-            if isinstance(candidates, pa.Table):
-                candidates = [ray.put(candidates)]
-            blocks, keymat = [], []
-            for grp in _coalesce_groups(candidates, n_hint):
-                rets = _filter_extract.options(num_returns=1 + k).remote(
-                    spec, self.robots_ref, k, self._content_seq,
-                    self._lazy_robots, *grp
-                )
-                blocks.append(rets[0])
-                keymat.append(rets[1:])
-        B = len(blocks)
-        if B == 0:
+            filt = [_filter_extract.options(num_returns=1 + k).remote(
+                        spec, self.robots_ref, k, self._content_seq, self._lazy_robots, *grp)
+                    for grp in _coalesce_groups(candidates, n_hint)]
+        if not filt:
             return self._empty_round(epoch, ed)
         # each seen shard answers the whole round in ONE gate_parts call,
         # returning only per-block counts to the driver while the winner row
         # arrays stay in the object store
-        counts_refs, wins = self.seen.gate_round([[keymat[b][s] for b in range(B)]
-                                                  for s in range(k)])
-        winner_mat = [[wins[s][b] for s in range(k)] for b in range(B)]
+        counts_refs, wins = self.seen.gate_round([[f[1 + s] for f in filt] for s in range(k)])
         self._mark("launch_filter+gate")
         counts, probed = np.stack(ray.get(counts_refs)).sum(axis=0)
         self._mark("gate_counts")
@@ -471,22 +461,75 @@ class CrawlJob:
             self.tail_collapses += 1
         if n_frontier == 0:
             return self._empty_round(epoch, ed)
-        if not local:
-            return self._round_graph(blocks, winner_mat, counts, seq0, n_frontier,
-                                     epoch, ed, gate)
-        # driver rank: the winner rows (at most the threshold) merged into
-        # one block, ranked in-process as frontier part 0
-        live = [b for b in range(B) if counts[b]]
-        tables = [blocks[b] for b in live] if in_process else ray.get([blocks[b] for b in live])
-        rows = ray.get([w for b in live for w in winner_mat[b]])
-        t = _merge_winner_blocks(k, *[x for i, tb in enumerate(tables)
-                                      for x in (tb, *rows[i * k:(i + 1) * k])])
-        quota = _budget_quotas([_level_counts(t)], n_frontier)[0][0] if n_frontier < n_win else None
+
+        def step(fn, task, *args, n: int = 1):
+            # one rank step on one unit: in-process, or as its task twin
+            return fn(*args) if local else task.options(num_returns=n).remote(*args)
+
+        # rank units (_rank_groups): a lone block-graph block keeps its
+        # per-shard winner rows; any other group's winners are merged into
+        # one block, so a driver-ranked round ranks one merged block
+        groups = _rank_groups(counts, local)
+        units = []
+        for g in groups:
+            flat = [x for b in g for x in (filt[b][0], *[wins[s][b] for s in range(k)])]
+            if local:
+                flat = _gather(flat)
+            units.append([step(_merge_winner_blocks, _merge_winner_task, k, *flat)]
+                         if local or len(g) > 1 else flat)
+        # blocks hold disjoint ascending (parent_seq, link_idx) ranges, so a
+        # unit's winners are numbered from seq0 plus the winners before it
+        take = np.array([int(counts[g].sum()) for g in groups], dtype=np.int64)
+        offsets = seq0 + np.concatenate([[0], np.cumsum(take)[:-1]])
+        quotas = [None] * len(units)
+        if n_frontier < n_win:
+            quotas, take = _budget_quotas(
+                _gather([step(_level_counts, _level_counts_task, *u) for u in units]), n_frontier)
         frontier_dir = os.path.join(ed, "frontier")
         os.makedirs(frontier_dir, exist_ok=True)
-        front, *sched_parts = _rank_block(t, seq0, quota, frontier_dir, 0, self.sched.p)
-        self._mark("tail_collapse")
-        return self._local_tail(front, sched_parts, epoch, ed, gate)
+        sel = np.nonzero(take)[0]
+        ranked = [step(_rank_block, _rank_sched_write_block, units[i][0], int(offsets[i]),
+                       quotas[i], frontier_dir, part, P, *units[i][1:], n=1 + P)
+                  for part, i in enumerate(sel)]
+        # politeness ledger (T7): hash(host)-partitioned shard walk over the
+        # rank units' schedule parts; futures drain with the other deferred
+        # sinks (actor mailboxes keep rounds ordered, so the next round may
+        # queue behind this one safely)
+        sched_futs = self.sched.schedule_round(os.path.join(ed, "schedule"),
+                                               bool(spec.priority_rules), [r[1:] for r in ranked])
+        self._mark("tail_collapse" if local else "rank+sched_launch")
+
+        # fetch+extract on the persistent pool (work-stealing dispatch), then
+        # the split.  The block graph splits each batch in a _split_sink task
+        # as it lands, so the sink wave pipelines inside the fetch wave, and
+        # speculates the NEXT round's filter on the batch's links: pure tasks
+        # hiding under the wave on the otherwise-idle task CPUs (r5: filters
+        # launched after the wave left a 5.4 s gate_counts wait at the next
+        # round's head).  M9: never speculate while redirect-only may apply.
+        # A driver-ranked round splits once, in-process, over the pooled output.
+        links_dir = os.path.join(ed, "links")
+        os.makedirs(links_dir, exist_ok=True)
+        speculate = self._content_found and not local
+        batch_splits, batch_filt = {}, {}
+
+        def on_done(i: int, ref) -> None:
+            rets = batch_splits[i] = _split_sink.options(
+                num_returns=_SPLIT_META + 3 * kc).remote(links_dir, i, kc, ref)
+            if speculate:
+                batch_filt[i] = _filter_extract.options(num_returns=1 + k).remote(
+                    spec, self.robots_ref, k, -1, self._lazy_robots, rets[_SPLIT_META - 1])
+
+        fronts = [ray.put(r[0].select(FRONTIER_COLS)) if local else r[0] for r in ranked]
+        out = self.fetch_pool.submit(fronts, [int(take[i]) for i in sel],
+                                     self._batch_size(n_frontier),
+                                     on_done=None if local else on_done)
+        splits = ([_split_links(links_dir, 0, kc, *ray.get(out))] if local
+                  else [batch_splits[i] for i in range(len(out))])
+        links = [s[_SPLIT_META - 1] for s in splits]
+        if speculate:
+            self._prefilter = {"links": links, "filt": [batch_filt[i] for i in range(len(out))]}
+        return n_frontier, links, self._sink_round(epoch, ed, splits, gate, sched_futs,
+                                                   n_frontier)
 
     def _empty_round(self, epoch: int, ed: str):
         """A round with nothing to fetch ends the crawl: its epoch holds an
@@ -502,174 +545,17 @@ class CrawlJob:
         self._mark("sinks")
         return 0, _empty_links_table(), 0
 
-    def _local_tail(self, front: pa.Table, sched_parts: list, epoch: int, ed: str,
-                    gate: tuple[int, int]):
-        """Fetch + split for a driver-ranked round: ``front`` is the ranked,
-        budget-capped frontier in ``enqueue_seq`` order, already written as
-        frontier part 0, and ``sched_parts`` its schedule parts, both from
-        ``_rank_block``.  The pool fetches it as one block; the driver
-        splits the pooled output in-process (``_split_project``, no
-        per-batch split tasks competing with the pool for the spare CPUs),
-        writes its links as part 0 and hands the one block to
-        ``_sink_round``.  The next round filters the links table directly."""
-        n_frontier = front.num_rows
-        # politeness ledger lives on the schedule shards (shared with the
-        # block graph so clocks stay consistent across path switches); the
-        # ledger walk overlaps the fetch and is gathered at the drain
-        sched_dir = os.path.join(ed, "schedule")
-        sched_futs = self.sched.schedule_round(sched_dir, bool(self.spec.priority_rules),
-                                               [sched_parts])
-        out_refs = self.fetch_pool.submit([ray.put(front.select(FRONTIER_COLS))], [n_frontier],
-                                          self._batch_size(n_frontier))
-        split = _split_project(from_wire(*ray.get(out_refs)), self.content_seen.k)
-        links = split[_SPLIT_META - 1]
-        links_dir = os.path.join(ed, "links")
-        os.makedirs(links_dir, exist_ok=True)
-        _write_part(links, links_dir, 0)
-        return n_frontier, links, self._sink_round(epoch, ed, [split], split[0], gate,
-                                                   sched_futs, n_frontier)
-
-    # -- block graph ---------------------------------------------------
-    def _round_graph(self, blocks: list, winner_mat: list, counts: np.ndarray,
-                     seq0: int, n_frontier: int, epoch: int, ed: str,
-                     gate: tuple[int, int]):
-        """Block-graph rank + fetch + split for a round whose gate left more
-        than ``local_round_threshold`` winners.  The driver waits on two
-        barriers only: the gate counts (in ``_round``) and the split metas
-        (in ``_sink_round``).
-
-        Link blocks arrive from the previous round's split tasks in fetch
-        order, so every block is already sorted by (parent_seq, link_idx)
-        and block ranges are disjoint ascending — block b's winners are
-        numbered from ``seq0`` plus the winners of the blocks before it, no
-        sort.  ``blocks`` are the filtered blocks and ``winner_mat[b][s]``
-        seen shard s's winner rows of block b, still in the object store.
-        When the request budget keeps ``n_frontier`` of them, the driver
-        gathers each block's winner count per priority level.  Rank tasks
-        write frontier parts AND emit hash(host) schedule parts consumed by
-        the politeness partitions (no per-row host/seq data on the driver,
-        ever).  Fetch runs on the persistent worker pool, each batch's
-        ``_split_sink`` task launching as the batch lands; ``_sink_round``
-        takes the split refs from there."""
-        spec = self.spec
-        k, P = self.seen.k, self.sched.p
-        live = np.nonzero(counts)[0]
-        blocks = [blocks[b] for b in live]
-        winner_mat = [winner_mat[b] for b in live]
-        counts = counts[live]
-        n_win = int(counts.sum())
-        # re-coalesce tiny winner blocks (r5): a dedup-heavy gate after a
-        # huge round can leave hundreds of blocks with a handful of winners
-        # each (profile: 9,841 winners across 1,220 blocks ≈ 8/block) —
-        # each would become its own rank task and a sub-minimum fetch
-        # batch.  Contiguous groups keep (parent_seq, link_idx) order, so
-        # rank order is preserved.
-        if len(blocks) > 2 * max(1, -(-n_win // _COALESCE_ROWS)):
-            groups: list[list[int]] = []
-            cur: list[int] = []
-            acc = 0
-            for b in range(len(blocks)):
-                cur.append(b)
-                acc += int(counts[b])
-                if acc >= _COALESCE_ROWS or len(cur) >= 32:
-                    groups.append(cur)
-                    cur, acc = [], 0
-            if cur:
-                groups.append(cur)
-            blocks = [_merge_winner_task.remote(k, *[x for b in g
-                                                     for x in (blocks[b], *winner_mat[b])])
-                      for g in groups]
-            winner_mat = [[] for _ in blocks]
-            counts = np.array([int(counts[g].sum()) for g in groups], dtype=np.int64)
-        offsets = seq0 + np.concatenate([[0], np.cumsum(counts)[:-1]])
-        quotas, take = [None] * len(blocks), counts
-        if n_frontier < n_win:
-            quotas, take = _budget_quotas(
-                ray.get([_level_counts_task.remote(blk, *win)
-                         for blk, win in zip(blocks, winner_mat)]), n_frontier)
-        sel = np.nonzero(take)[0]
-        take = take[sel]
-
-        frontier_dir = os.path.join(ed, "frontier")
-        os.makedirs(frontier_dir, exist_ok=True)
-        ranked, sched_mat = [], []
-        for i, b in enumerate(sel):
-            rets = _rank_sched_write_block.options(num_returns=1 + P).remote(
-                blocks[b], int(offsets[b]), quotas[b], frontier_dir, i, P, *winner_mat[b]
-            )
-            ranked.append(rets[0])
-            sched_mat.append(rets[1:])
-
-        # politeness ledger (T7): hash(host)-partitioned shard walk; futures
-        # drain with the other deferred sinks (actor mailboxes keep rounds
-        # ordered, so the next round may queue behind this one safely)
-        sched_dir = os.path.join(ed, "schedule")
-        sched_futs = self.sched.schedule_round(sched_dir, bool(spec.priority_rules), sched_mat)
-
-        # fetch+extract on the persistent pool (plasma-shared blocks) with
-        # work-stealing dispatch; each completed batch's split task (links
-        # checkpoint + meta projection) launches immediately so the sink
-        # wave pipelines inside the fetch wave
-        self._mark("rank+sched_launch")
-        links_dir = os.path.join(ed, "links")
-        os.makedirs(links_dir, exist_ok=True)
-        bs = self._batch_size(n_frontier)
-        take_l = [int(c) for c in take]
-        nb = sum((c + bs - 1) // bs for c in take_l)
-        split_refs: list = [None] * nb
-        kc = self.content_seen.k
-        # speculate the NEXT round's filter + key extraction INCREMENTALLY:
-        # as each batch's split lands mid-wave, its link block goes straight
-        # into a _filter_extract task, so the filter compute for round N+1
-        # hides under round N's fetch wave on the otherwise-idle task CPUs.
-        # (r5: the round-4 profile showed the old post-wave speculation
-        # leaving a 5.4 s gate_counts wait at the next round's head — the
-        # filters for ~3.3M links all launched after the 49.6 s wave ended.)
-        # Pure tasks — safe to speculate; the stateful gate still waits for
-        # the next round.  Per-block granularity ≈ _COALESCE_ROWS anyway
-        # (256 URLs × ~12 links/URL), so no coalescing pass is needed.
-        # M9 guard unchanged: never speculate while redirect-only may apply.
-        speculate_next = self._content_found
-        pf_filt: list = [None] * nb
-        pf_keymat: list = [None] * nb
-
-        def _on_batch_done(i: int, ref) -> None:
-            rets = _split_sink.options(num_returns=_SPLIT_META + 3 * kc).remote(
-                ref, links_dir, i, kc
-            )
-            split_refs[i] = rets
-            if speculate_next:
-                f = _filter_extract.options(num_returns=1 + k).remote(
-                    spec, self.robots_ref, k, -1, self._lazy_robots,
-                    rets[_SPLIT_META - 1],  # this batch's link block
-                )
-                pf_filt[i] = f[0]
-                pf_keymat[i] = f[1:]
-
-        self.fetch_pool.submit(ranked, take_l, bs, on_done=_on_batch_done)
-        # the incremental speculation launched one filter per batch inside
-        # _on_batch_done; register the completed set for the next round
-        link_refs = [r[_SPLIT_META - 1] for r in split_refs]
-        if speculate_next:
-            self._prefilter = {
-                "key": tuple(r.hex() for r in link_refs),
-                "filt": pf_filt, "keymat": pf_keymat,
-            }
-        fetch_small = pa.concat_tables(ray.get([r[0] for r in split_refs]))
-        return n_frontier, link_refs, self._sink_round(epoch, ed, split_refs, fetch_small, gate,
-                                                       sched_futs, n_frontier)
-
-    def _sink_round(self, epoch: int, ed: str, splits: list, fetch_small: pa.Table,
-                    gate: tuple[int, int], sched_futs: list, n_frontier: int) -> int:
+    def _sink_round(self, epoch: int, ed: str, splits: list, gate: tuple[int, int],
+                    sched_futs: list, n_frontier: int) -> int:
         """Every fetched round's tail, from the split on: the content flow,
         the previous epoch's drain, one ``_finalize_block`` task per fetched
         block (its images, docs and attachments), and the stash its own
         drain finishes (metrics, snapshot, done marker) while the next round
-        filters and gates.  ``splits`` holds the ``_split_project`` returns
-        per fetch batch: ``_split_sink`` refs in the block graph, the
-        driver-ranked round's one in-process tuple; ``fetch_small`` is the
-        round's fetch metas, gathered.  Counts the round's fetches and bytes
-        and returns its link count."""
+        filters and gates.  ``splits`` holds the ``_split_links`` returns
+        per fetched block: ``_split_sink`` refs per batch in the block graph,
+        the driver-ranked round's one in-process tuple.  Counts the round's
+        fetches and bytes and returns its link count."""
+        fetch_small = pa.concat_tables(_gather([s[0] for s in splits]))
         self.fetched += n_frontier
         self.bytes_total += int(pc.sum(fetch_small.column("bytes_received")).as_py() or 0)
         self._note_content(fetch_small.column("status").to_pylist(),
@@ -699,7 +585,6 @@ class CrawlJob:
         self._drain_pending()
         writes = [_finalize_block.remote(*payload, dup_ref, dirs, b, kc, *verdicts[b])
                   for b, payload in enumerate(zip(*cols[4:7]))]
-        self._mark("sinks")
 
         # state snapshots are SUBMITTED now (actor mailboxes pin them to
         # exactly this epoch's position) but GATHERED in the next round's
@@ -710,6 +595,8 @@ class CrawlJob:
             dirs=[*dirs, os.path.join(ed, "schedule")], fetch_small=fetch_small, gate=gate,
             snap_refs=self._snapshot_refs(epoch), meta=self._done_meta(n_frontier, n_links),
         )
+        # the mark closes the round: only the return to run() is unmarked
+        self._mark("sinks")
         return n_links
 
     def _content_flow(self, img_metas, doc_metas, img_parts, doc_parts, att_parts):
@@ -900,6 +787,11 @@ def _limit_arrow_threads(n: int = 2) -> None:
 
 
 _COALESCE_ROWS = 4096  # target candidate rows per filter task
+# adaptive fetch batch sizing targets this many batches per pool worker on
+# sub-cap rounds; at 2, the depth-2 work-stealing queue is fully drained by
+# the initial fill (nothing left to steal — a straggler's second batch can't
+# migrate), so 4 keeps half the round stealable
+_BATCHES_PER_WORKER = 4
 
 
 def _coalesce_groups(refs: list, n_hint: int | None) -> list[list]:
@@ -911,6 +803,38 @@ def _coalesce_groups(refs: list, n_hint: int | None) -> list[list]:
     target = max(1, -(-n_hint // _COALESCE_ROWS))  # ceil
     groups = np.array_split(np.arange(len(refs)), min(len(refs), target))
     return [[refs[i] for i in g] for g in groups if g.size]
+
+
+def _rank_groups(counts: np.ndarray, one: bool) -> list[list[int]]:
+    """A round's rank units: contiguous groups, in block order, of the
+    blocks whose gate ``counts`` are non-zero, each block in exactly one.
+    A driver-ranked round (``one``) is one group.  The block graph ranks
+    each block alone unless a dedup-heavy gate after a huge round left many
+    tiny winner blocks (r5 profile: 9,841 winners across 1,220 blocks ≈
+    8/block — each its own rank task and a sub-minimum fetch batch); then
+    consecutive blocks group up to ``_COALESCE_ROWS`` winners or 32 blocks.
+    Contiguous groups keep (parent_seq, link_idx) order, so rank order is
+    preserved."""
+    live = [int(b) for b in np.nonzero(counts)[0]]
+    if one:
+        return [live]
+    if len(live) <= 2 * max(1, -(-int(counts.sum()) // _COALESCE_ROWS)):
+        return [[b] for b in live]
+    groups, cur, acc = [], [], 0
+    for b in live:
+        cur.append(b)
+        acc += int(counts[b])
+        if acc >= _COALESCE_ROWS or len(cur) >= 32:
+            groups.append(cur)
+            cur, acc = [], 0
+    return groups + [cur] if cur else groups
+
+
+def _gather(xs: list) -> list:
+    """``xs`` with each ObjectRef replaced by its value (one batched get);
+    other items pass through."""
+    got = iter(ray.get([x for x in xs if isinstance(x, ray.ObjectRef)]))
+    return [next(got) if isinstance(x, ray.ObjectRef) else x for x in xs]
 
 
 _read_part = ray.remote(pq.read_table)
@@ -981,8 +905,8 @@ def _merge_winner_blocks(k: int, *flat) -> pa.Table:
     """One table of a contiguous group of blocks' gate winners: ``flat``
     packs, per block, the filtered table followed by its k per-seen-shard
     winner row arrays.  Winner masks preserve row order, so the result is
-    still in (parent_seq, link_idx) order — the driver-ranked round's one
-    block, and (``_merge_winner_task``) a coalesced block-graph block."""
+    still in (parent_seq, link_idx) order: the one block of a rank unit of
+    several blocks (``_rank_groups``) or of a driver-ranked round."""
     return pa.concat_tables([_keep_rows(flat[i], *flat[i + 1:i + 1 + k])
                              for i in range(0, len(flat), k + 1)])
 
@@ -1026,7 +950,7 @@ def _budget_quotas(levels: list, n_keep: int) -> tuple[list, np.ndarray]:
 def _rank_block(t: pa.Table, offset: int, quota: tuple[int, int] | None,
                 frontier_dir: str, part: int, p_sched: int,
                 *winner_rows: np.ndarray) -> tuple:
-    """Every round's rank step over one block of gate winners in
+    """Every round's rank step over one rank unit of gate winners in
     (parent_seq, link_idx) order, in-process for a driver-ranked round and
     as ``_rank_sched_write_block`` tasks in the block graph: apply the
     winner rows, number every winner ``offset + arange`` (O1: a URL is
@@ -1054,10 +978,8 @@ _SPLIT_META = 8  # _split_project's returns before the 3*kc content key parts
 
 
 def _split_project(out: pa.Table, kc: int) -> tuple:
-    """Split a fetch-output table by kind and project it for the sinks —
-    every round's split: ``_split_sink`` runs it per fetch batch,
-    ``_local_tail`` once over a driver-ranked round's pooled output.
-    Returns the fetch, image, doc and attachment metas, the full
+    """Split a fetch-output table by kind and project it for the sinks
+    (``_split_links``).  Returns the fetch, image, doc and attachment metas, the full
     image/doc/attachment tables for ``_finalize_block`` as ``to_wire``
     buffers (one blob each through Ray, not its per-column ``pa.Table``
     reducer), the links table, then the metas' per-content-shard gate parts
@@ -1119,16 +1041,23 @@ def _image_rows(t: pa.Table) -> pa.Table:
     )
 
 
-@ray.remote
-def _split_sink(out: pa.Buffer, links_dir: str, part: int, kc: int):
-    """``_split_project`` as a task over one fetch batch's wire buffer
-    (``FetchWorker.process``; ``num_returns=_SPLIT_META + 3*kc`` at the
-    call site) that also writes the batch's links checkpoint part; the next
-    round consumes the links ref directly — no re-read."""
-    _limit_arrow_threads()
-    rets = _split_project(from_wire(out), kc)
+def _split_links(links_dir: str, part: int, kc: int, *bufs: pa.Buffer) -> tuple:
+    """Every round's split: ``_split_project`` over the fetch-output wire
+    buffers ``bufs`` (``FetchWorker.process``), writing the links as
+    checkpoint part ``part``.  A driver-ranked round calls it once over its
+    pooled output; the block graph runs it as a ``_split_sink`` task per
+    fetch batch, whose links ref the next round consumes — no re-read."""
+    rets = _split_project(from_wire(*bufs), kc)
     _write_part(rets[_SPLIT_META - 1], links_dir, part)
     return rets
+
+
+@ray.remote
+def _split_sink(*args):
+    """``_split_links`` as a task (``num_returns=_SPLIT_META + 3*kc`` at
+    the call site)."""
+    _limit_arrow_threads()
+    return _split_links(*args)
 
 
 def _content_key_parts(meta: pa.Table, key_col: str, k: int) -> list[dict]:

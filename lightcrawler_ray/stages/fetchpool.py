@@ -86,7 +86,7 @@ class FetchPool:
         ray.get([w.__ray_ready__.remote() for w in self.workers])
 
     def submit(self, block_refs: list, counts: list[int], batch_size: int,
-               on_done=None, speculate: bool = True) -> list:
+               on_done=None) -> list:
         """Work-stealing dispatch: keep ``_QUEUE_DEPTH`` batches queued per worker and
         top up as each completes — kills the straggler tail that static
         round-robin leaves when batch costs vary (images vs 45 KB documents).
@@ -96,7 +96,7 @@ class FetchPool:
         completion order, exactly once per task.  ``fetch_local=False`` keeps
         payload blocks out of the driver.
 
-        ``speculate``: once the fresh queue is drained, an idle worker
+        Speculation: once the fresh queue is drained, an idle worker
         re-executes a still-outstanding batch — the classic straggler
         mitigation for the wave tail, where one stalled worker (hypervisor
         steal here; a slow node on a real cluster) otherwise gates the whole
@@ -143,7 +143,7 @@ class FetchPool:
             if nxt < n_tasks:
                 i = nxt
                 nxt += 1
-            elif speculate:
+            else:
                 # oldest not-done single-copy batch that is OVERDUE and not
                 # already running on this worker
                 now = _time.monotonic()
@@ -157,8 +157,6 @@ class FetchPool:
                 )
                 if i is None:
                     return False
-            else:
-                return False
             ref, s, e = tasks[i]
             fut = w.process.remote(ref, s, e)
             inflight[fut] = (w, i)
@@ -192,7 +190,7 @@ class FetchPool:
                         on_done(i, done[0])
                 if not feed(w):
                     idle.append(w)
-            if idle and speculate and nxt >= n_tasks:
+            if idle and nxt >= n_tasks:
                 still_idle = [w for w in idle if not feed(w)]
                 idle[:] = still_idle
         return out

@@ -116,16 +116,11 @@ class CrawlSpec:
     doc_near_dup_hamming: int = 3            # J3 simhash gate threshold; -1 disables
     fetch_concurrency: int = 4
     fetch_batch_size: int = 256
-    # adaptive batch sizing targets this many batches per pool worker on
-    # sub-cap rounds; at 2, the depth-2 work-stealing queue is fully drained
-    # by the initial fill (nothing left to steal — a straggler's second
-    # batch can't migrate), so 4 keeps half the round stealable
-    fetch_batches_per_worker: int = 4
-    # rounds of at most this many candidate rows are filtered on the driver,
-    # and rounds whose gate leaves at most this many winners are ranked on
-    # the driver, fetched by the pool as one block and split on the driver
-    # — the same steps either way, and the same finalize tasks and deferred
-    # drain after the split (adaptive execution, see pipelines/crawl.py);
+    # where the one round body's steps run (adaptive execution, see
+    # pipelines/crawl.py): a round of at most this many candidate rows is
+    # filtered on the driver, and a round whose gate leaves at most this many
+    # winners is ranked on the driver, fetched by the pool as one block and
+    # split on the driver; larger ones run each step as a task per block.
     # 0 sends every round through the remote filter tasks and the block graph
     local_round_threshold: int = 4096
     # checkpoint the seen shards every K epochs (resume re-enters at the last

@@ -89,8 +89,9 @@ def schedule_table(hosts: list[str], seqs: list[int], clock: HostClock,
 
 
 def host_shard(host: str, p: int) -> int:
-    """Stable shard index for a host (md5 top 32 bits mod P) — shared by the
-    rank tasks and the driver's local path so a host never spans shards."""
+    """Stable shard index for a host (md5 top 32 bits mod P) — every rank
+    step splits by it, in-process or as a task, so a host never spans
+    shards."""
     return int(hashlib.md5(host.encode()).hexdigest()[:8], 16) % p
 
 

@@ -546,8 +546,8 @@ def test_robots_disallow_respected(engine_run, golden):
 
 def test_tail_collapse_parity(ray_session, fixture_paths, golden, tmp_path):
     """A distributed round whose seen gate leaves <= threshold winners must
-    collapse to the local tail (its winners ranked in-process by the same
-    ``_rank_block`` and split in-process, no rank or split tasks) WITHOUT
+    collapse to a driver-ranked round (its winners ranked in-process by the
+    same ``_rank_block`` and split in-process, no rank or split tasks) WITHOUT
     changing order, membership, or sink contents — and the collapse
     must actually fire on this fixture (the BFS tail rounds have large raw
     link counts but tiny unseen remainders)."""

@@ -76,12 +76,12 @@ def test_speculation_beats_stalled_worker(ray_session):
 
 
 def test_no_speculation_still_exact_when_unstalled(ray_session):
-    """speculate=False path unchanged: full drain, per-index refs."""
+    """With no stalled worker nothing is overdue: full drain, per-index refs."""
     gate = _StallGate.remote()
     ray.get(gate.try_take.remote())  # burn the token: nobody stalls
     pool = _stub_pool(2, gate)
     block_ref = ray.put(pa.table({"x": pa.array(range(40), pa.int64())}))
-    out = pool.submit([block_ref], [40], batch_size=10, speculate=False)
+    out = pool.submit([block_ref], [40], batch_size=10)
     assert [ray.get(r).num_rows for r in out] == [10, 10, 10, 10]
     for w in pool.workers:
         ray.kill(w)

@@ -26,6 +26,7 @@ import shutil
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pyarrow.parquet as pq
@@ -57,14 +58,12 @@ def run_jobs(spec, paths: dict, n_jobs: int, root: str, max_rounds: int = 12):
                "phases": {k: round(v, 4) for k, v in sorted(job.benchmarks().items())}}
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    ap.add_argument("--workload", default="crawl_linkstorm",
-                    help="a crawl workload of perfbench/workloads.py")
-    ap.add_argument("--seed", type=int, default=101)
-    ap.add_argument("--threshold", type=int, default=0, help="local_round_threshold")
-    ap.add_argument("--jobs", type=int, default=3)
-    args = ap.parse_args(argv)
+@contextmanager
+def crawl_session(ap: argparse.ArgumentParser, args, prefix: str):
+    """Yield ``(workload, spec, paths, root)`` for ``args.workload`` at
+    ``args.seed`` with ``local_round_threshold = args.threshold``, inside a
+    local Ray session sized like perfbench's; ``root`` is a scratch dir
+    removed on exit with the session."""
     from perfbench.sizing import ray_sizing
     from perfbench.workloads import WORKLOADS, crawl_inputs, crawl_spec
 
@@ -82,14 +81,26 @@ def main(argv: list[str] | None = None) -> int:
 
     ray.init(address="local", num_cpus=cpus, include_dashboard=False,
              logging_level="ERROR", object_store_memory=400 << 20)
-    root = tempfile.mkdtemp(prefix="phase_seconds-")
+    root = tempfile.mkdtemp(prefix=prefix)
     try:
-        for rec in run_jobs(spec, paths, args.jobs, root):
-            print(json.dumps({"workload": w.name, "seed": args.seed,
-                              "threshold": args.threshold, **rec}), flush=True)
+        yield w, spec, paths, root
     finally:
         shutil.rmtree(root, ignore_errors=True)
         ray.shutdown()
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    ap.add_argument("--workload", default="crawl_linkstorm",
+                    help="a crawl workload of perfbench/workloads.py")
+    ap.add_argument("--seed", type=int, default=101)
+    ap.add_argument("--threshold", type=int, default=0, help="local_round_threshold")
+    ap.add_argument("--jobs", type=int, default=3)
+    args = ap.parse_args(argv)
+    with crawl_session(ap, args, "phase_seconds-") as (w, spec, paths, root):
+        for rec in run_jobs(spec, paths, args.jobs, root):
+            print(json.dumps({"workload": w.name, "seed": args.seed,
+                              "threshold": args.threshold, **rec}), flush=True)
     return 0
 
 
